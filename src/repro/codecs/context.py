@@ -12,10 +12,16 @@ the perceptual codec needs) or directly from a uint8 *sRGB* frame (the
 baseline shim's input).  ``ctx.stats`` counts the expensive
 derivations, which the batch tests use to assert the amortization
 actually happens.
+
+One rendered frame can serve many viewers: :meth:`FrameContext.for_fixation`
+returns a view for another gaze point that shares the frame's sRGB
+quantization and tile stacks, and derives only its own eccentricity
+map, lazily.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,6 +109,8 @@ class FrameContext:
             self._eccentricity = ecc
 
         self._tiles: dict[int, tuple[np.ndarray, TileGrid]] = {}
+        # The context whose quantization and tiles a gaze view shares.
+        self._base: FrameContext | None = None
         #: Derivation counters: how often each expensive step actually ran.
         self.stats = {"quantize": 0, "tile": 0, "eccentricity": 0}
 
@@ -145,6 +153,8 @@ class FrameContext:
     @property
     def srgb8(self) -> np.ndarray:
         """uint8 sRGB quantization, computed at most once."""
+        if self._base is not None:
+            return self._base.srgb8
         if self._srgb8 is None:
             self.stats["quantize"] += 1
             self._srgb8 = encode_srgb8(self._frame_linear)
@@ -162,8 +172,30 @@ class FrameContext:
 
     def tiles(self, tile_size: int) -> tuple[np.ndarray, TileGrid]:
         """sRGB tile stack for ``tile_size``, computed at most once each."""
+        if self._base is not None:
+            return self._base.tiles(tile_size)
         key = int(tile_size)
         if key not in self._tiles:
             self.stats["tile"] += 1
             self._tiles[key] = tile_frame(self.srgb8, key)
         return self._tiles[key]
+
+    def for_fixation(self, fixation: tuple[float, float]) -> "FrameContext":
+        """A view of this frame for another gaze point.
+
+        The view shares this context's frames, its sRGB quantization
+        and tile stacks (each still derived at most once, by whichever
+        context asks first) and its ``stats``.  Only the eccentricity
+        map is the view's own, derived lazily from ``display`` and
+        ``fixation``, so a codec that never reads it never builds it.
+
+        Parameters
+        ----------
+        fixation:
+            Gaze point in normalized image coordinates.
+        """
+        view = copy.copy(self)
+        view._base = self._base if self._base is not None else self
+        view.fixation = (float(fixation[0]), float(fixation[1]))
+        view._eccentricity = None
+        return view

@@ -36,6 +36,7 @@ __all__ = [
     "QualityRung",
     "QualityLadder",
     "DEFAULT_LADDER_SPEC",
+    "stereo_payload_bits",
     "encode_stereo_bits",
     "encode_frame_rungs",
     "LadderEncodeCache",
@@ -247,6 +248,24 @@ class QualityLadder:
         return self.rungs[index]
 
 
+def stereo_payload_bits(
+    codecs: Sequence["Codec"], contexts: Sequence[FrameContext]
+) -> tuple[int, ...]:
+    """Stereo-payload bits of one frame's eye contexts under each codec.
+
+    Each codec encodes every context in order (left eye, then right),
+    so a stateful codec sees its frames serially.
+
+    Returns
+    -------
+    tuple of int
+        Summed per-eye payload bits, one entry per codec.
+    """
+    return tuple(
+        sum(codec.encode(ctx).total_bits for ctx in contexts) for codec in codecs
+    )
+
+
 def encode_stereo_bits(
     codecs: Sequence["Codec"],
     eyes,
@@ -256,10 +275,10 @@ def encode_stereo_bits(
     """Stereo-payload bits of one frame under each codec.
 
     The one ladder-encode loop every rung-stream producer shares (the
-    adaptive session, the fleet engine, and the calibration sweep):
-    each eye gets a single :class:`~repro.codecs.context.FrameContext`
-    reused across all codecs, so quantization and tiling run at most
-    once per eye however many rungs are encoded.
+    adaptive session and the calibration sweep): each eye gets a
+    single :class:`~repro.codecs.context.FrameContext` reused across
+    all codecs, so quantization and tiling run at most once per eye
+    however many rungs are encoded.
 
     Parameters
     ----------
@@ -280,9 +299,7 @@ def encode_stereo_bits(
     ctxs = [
         FrameContext(eye, eccentricity=eccentricity, display=display) for eye in eyes
     ]
-    return tuple(
-        sum(codec.encode(ctx).total_bits for ctx in ctxs) for codec in codecs
-    )
+    return stereo_payload_bits(codecs, ctxs)
 
 
 def encode_frame_rungs(

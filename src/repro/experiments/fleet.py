@@ -212,7 +212,9 @@ def build_fleet_cohorts(
     representative per class** (the class's lowest client index, with
     that index's gaze seed) and carries the rest as cohort members,
     which is what makes million-client fleets affordable: encode cost
-    is O(classes), not O(clients).
+    is O(classes), not O(clients).  Representatives that share a scene
+    also share its renders, as in
+    :func:`~repro.streaming.server.simulate_fleet`.
 
     Adaptive fleets replicate :func:`~repro.streaming.server.simulate_fleet`'s
     rung policy exactly: each cohort starts on the rung matching its

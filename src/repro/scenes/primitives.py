@@ -39,8 +39,10 @@ def vertical_gradient(shape: tuple[int, int], top_color, bottom_color) -> np.nda
 
 
 def _clip_span(start: float, stop: float, limit: int) -> tuple[int, int]:
-    lo = int(np.clip(round(start), 0, limit))
-    hi = int(np.clip(round(stop), 0, limit))
+    # Plain ints: a scalar np.clip costs a NumPy dispatch per call, and
+    # renders draw thousands of shapes.
+    lo = min(max(int(round(start)), 0), limit)
+    hi = min(max(int(round(stop)), 0), limit)
     return lo, max(lo, hi)
 
 

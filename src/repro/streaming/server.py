@@ -28,10 +28,13 @@ discrete-event kernel in :mod:`repro.streaming.engine`:
   :class:`FleetReport` with tail latency, clients meeting target, and
   aggregate link utilization.
 
-Client streams are independent until their payloads meet at the link,
-so with ``n_jobs > 1`` the render+encode work fans out over a process
-pool, one task per client stream — frames within a stream stay serial
-and ordered, which is what stateful codecs require.
+Clients that share a scene and a resolution see the same frames, so
+each such *scene group* renders every frame once and encodes it for
+each of its clients, each with its own codecs and gaze.  With
+``n_jobs > 1`` that work fans out over a process pool, one task per
+scene group (or per contiguous chunk of one, when there are fewer
+groups than workers) — frames within a stream stay serial and ordered,
+which is what stateful codecs require.
 
 Two orthogonal extensions ride on the same kernel:
 
@@ -54,7 +57,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..codecs.ladder import QualityLadder, encode_stereo_bits
+from ..codecs.context import FrameContext
+from ..codecs.ladder import QualityLadder, stereo_payload_bits
 from ..parallel import gather, worker_pool
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.gaze import GazeSample
@@ -546,44 +550,77 @@ def solo_sustainable_fps(report: ClientReport, link: WirelessLink) -> float:
     return 1.0 / bottleneck if bottleneck > 0 else float("inf")
 
 
-def _encode_client_stream(
-    client: ClientConfig,
+def _encode_scene_group(
+    clients: Sequence[ClientConfig],
     display: DisplayGeometry,
-    n_frames: int,
-    ladder: QualityLadder | None = None,
-    rung_indices: tuple[int, ...] | None = None,
-) -> list[tuple[int, ...]]:
-    """Render and encode one client's whole stream, in display order.
+    frame_counts: Sequence[int],
+    ladder: QualityLadder | None,
+    rung_indices: Sequence[tuple[int, ...] | None],
+) -> list[list[tuple[int, ...]]]:
+    """Render once and encode the streams of clients that see one frame.
 
-    Runs as a unit — inline or as one process-pool task — so stateful
-    codecs always see their frames serially and in order.  Without a
-    ladder the client's configured codec is the only "rung"; with one,
-    every frame is rendered once and encoded at each requested rung,
-    sharing the per-eye :class:`~repro.codecs.context.FrameContext`.
+    Every client shares a scene and a resolution, so each frame is
+    rendered once, with one :class:`~repro.codecs.context.FrameContext`
+    per eye; each client then encodes a gaze view of those contexts
+    (:meth:`~repro.codecs.context.FrameContext.for_fixation`) with its
+    own codecs at its own fixation.  Quantization and tiling run at most
+    once per eye, and only clients whose codec reads the eccentricity
+    map build one.  Frames go out in display order, and one stereo pair
+    is live at a time.
+
+    Runs as a unit — inline or as one process-pool task — so each
+    client's codecs see its frames serially and in order, which
+    stateful codecs require.  Without a ladder a client's configured
+    codec is its only "rung"; with one, it encodes each requested rung.
 
     Returns
     -------
-    list of tuple
-        One tuple per frame holding the payload bits of each requested
-        rung (a 1-tuple in the non-adaptive case).
+    list of list of tuple
+        Per client, one tuple per frame holding the payload bits of
+        each requested rung (a 1-tuple in the non-adaptive case).
     """
-    scene = get_scene(client.scene)
-    if ladder is None:
-        codecs = [build_streaming_codec(client.codec)]
-    else:
-        indices = rung_indices if rung_indices is not None else tuple(range(len(ladder)))
-        codecs = [ladder.build_codec(i) for i in indices]
-    for codec in codecs:
-        codec.reset()
-    payloads: list[tuple[int, ...]] = []
-    for index in range(n_frames):
-        eyes = scene.render_stereo(client.height, client.width, frame=index)
-        fixation = client.fixation_at(index / client.target_fps)
-        eccentricity = display.eccentricity_map(
-            client.height, client.width, fixation=fixation
-        )
-        payloads.append(encode_stereo_bits(codecs, eyes, eccentricity, display))
-    return payloads
+    codecs = []
+    for client, indices in zip(clients, rung_indices):
+        if ladder is None:
+            client_codecs = [build_streaming_codec(client.codec)]
+        else:
+            client_codecs = [ladder.build_codec(i) for i in indices]
+        for codec in client_codecs:
+            codec.reset()
+        codecs.append(client_codecs)
+    scene = get_scene(clients[0].scene)
+    height, width = clients[0].height, clients[0].width
+    streams: list[list[tuple[int, ...]]] = [[] for _ in clients]
+    for index in range(max(frame_counts)):
+        eyes = scene.render_stereo(height, width, frame=index)
+        contexts = [FrameContext(eye, display=display) for eye in eyes]
+        for client, client_codecs, count, payloads in zip(
+            clients, codecs, frame_counts, streams
+        ):
+            if index >= count:
+                continue
+            fixation = client.fixation_at(index / client.target_fps)
+            views = [ctx.for_fixation(fixation) for ctx in contexts]
+            payloads.append(stereo_payload_bits(client_codecs, views))
+    return streams
+
+
+def _encode_tasks(groups: list[list[int]], n_jobs: int) -> list[list[int]]:
+    """Client-index tasks: one per scene group, split when workers idle.
+
+    With at least as many groups as workers every group is one task.
+    Otherwise each group splits into contiguous chunks of clients, so
+    ``n_jobs`` workers all get work; each chunk renders its own copy of
+    the group's frames.
+    """
+    if n_jobs <= len(groups):
+        return groups
+    chunks_per_group = -(-n_jobs // len(groups))
+    tasks = []
+    for members in groups:
+        size = -(-len(members) // chunks_per_group)
+        tasks.extend(members[i : i + size] for i in range(0, len(members), size))
+    return tasks
 
 
 def _encode_streams(
@@ -594,26 +631,44 @@ def _encode_streams(
     ladder: QualityLadder | None = None,
     rung_indices: Sequence[tuple[int, ...] | None] | None = None,
 ) -> list[list[tuple[int, ...]]]:
-    """Per-client payload streams, fanned over processes when asked.
+    """Per-client payload streams, rendered once per scene group.
+
+    Clients with the same ``(scene, height, width)`` see identical
+    frames, so they form one group encoded by
+    :func:`_encode_scene_group`; with ``n_jobs > 1`` the groups (or
+    chunks of them, see :func:`_encode_tasks`) fan out over a process
+    pool.  Streams come back in client order, identical for any
+    ``n_jobs``.
 
     ``frame_counts`` holds each client's post-departure frame count
     (:func:`~repro.streaming.engine.frames_within_window`), so an
     early-leaving client never pays for frames the engine would drop.
     """
     per_client = rung_indices if rung_indices is not None else [None] * len(clients)
-    if n_jobs == 1 or len(clients) == 1:
-        return [
-            _encode_client_stream(c, display, count, ladder, indices)
-            for c, count, indices in zip(clients, frame_counts, per_client)
-        ]
-    with worker_pool(min(n_jobs, len(clients))) as pool:
-        futures = [
-            pool.submit(
-                _encode_client_stream, client, display, count, ladder, indices
-            )
-            for client, count, indices in zip(clients, frame_counts, per_client)
-        ]
-        return gather(futures)
+    groups: dict[tuple[str, int, int], list[int]] = {}
+    for ci, client in enumerate(clients):
+        groups.setdefault((client.scene, client.height, client.width), []).append(ci)
+    tasks = _encode_tasks(list(groups.values()), n_jobs)
+    work = [
+        (
+            [clients[ci] for ci in task],
+            display,
+            [frame_counts[ci] for ci in task],
+            ladder,
+            [per_client[ci] for ci in task],
+        )
+        for task in tasks
+    ]
+    if n_jobs == 1 or len(tasks) == 1:
+        results = [_encode_scene_group(*args) for args in work]
+    else:
+        with worker_pool(min(n_jobs, len(tasks))) as pool:
+            results = gather([pool.submit(_encode_scene_group, *args) for args in work])
+    streams: list[list[tuple[int, ...]]] = [[] for _ in clients]
+    for task, result in zip(tasks, results):
+        for ci, stream in zip(task, result):
+            streams[ci] = stream
+    return streams
 
 
 def simulate_fleet(
@@ -632,11 +687,12 @@ def simulate_fleet(
 ) -> FleetReport:
     """Stream ``n_frames`` stereo frames per client over one shared link.
 
-    Each client renders and encodes its own stream (scene, gaze,
-    resolution, codec) and all payloads contend for the link under
-    ``scheduler``, dispatched through the
+    Each client encodes its own stream (scene, gaze, resolution, codec);
+    clients sharing a scene and resolution share each rendered frame,
+    which is rendered and quantized once per eye.  All payloads contend
+    for the link under ``scheduler``, dispatched through the
     :class:`~repro.streaming.engine.StreamingEngine`.  ``n_jobs``
-    parallelizes the render+encode work across client streams; results
+    parallelizes the render+encode work across scene groups; results
     are bit-identical for any value.
 
     Parameters
@@ -652,7 +708,7 @@ def simulate_fleet(
     n_frames:
         Frames streamed per client.
     n_jobs:
-        Process-pool width for per-client encoding.
+        Process-pool width for the per-scene-group encoding.
     display:
         Headset geometry shared by all clients.
     seed:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.baselines.scc import (
     DEFAULT_SCC_ECCENTRICITY,
@@ -96,13 +97,21 @@ class TestGridCover:
         colors = rng.uniform(0, 1, (200, 3))
         reps = table.representatives
         radii = jnd_radius(reps, DEFAULT_SCC_ECCENTRICITY, model)
-        covered = np.zeros(colors.shape[0], dtype=bool)
-        for start in range(0, reps.shape[0], 50_000):
-            block = reps[start : start + 50_000]
-            distances = np.linalg.norm(
-                colors[None, :, :] - block[:, None, :], axis=-1
-            )
-            covered |= (distances <= radii[start : start + 50_000][:, None]).any(axis=0)
+        # Prefilter with a k-d tree at the largest radius (a superset of
+        # every covering candidate), then apply each candidate's own
+        # radius with the same norm comparison as a brute-force scan.
+        tree = cKDTree(reps)
+        candidates = tree.query_ball_point(colors, r=radii.max() * (1 + 1e-12))
+        covered = np.array(
+            [
+                bool(
+                    (
+                        np.linalg.norm(color - reps[near], axis=-1) <= radii[near]
+                    ).any()
+                )
+                for color, near in zip(colors, candidates)
+            ]
+        )
         assert covered.all()
 
     def test_smaller_than_universe(self, table):

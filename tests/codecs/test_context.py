@@ -83,6 +83,40 @@ class TestConstruction:
         assert (ctx.height, ctx.width, ctx.n_pixels) == (24, 24, 576)
 
 
+class TestGazeViews:
+    def test_view_shares_quantization_and_tiles(self, frame):
+        base = FrameContext(frame)
+        view = base.for_fixation((0.2, 0.7))
+        assert view.srgb8 is base.srgb8
+        assert view.tiles(4)[0] is base.tiles(4)[0]
+        assert base.stats == {"quantize": 1, "tile": 1, "eccentricity": 0}
+        assert view.stats is base.stats
+
+    def test_quantize_stays_lazy(self, frame):
+        base = FrameContext(frame)
+        view = base.for_fixation((0.5, 0.5))
+        assert view.frame_linear is base.frame_linear
+        assert base.stats["quantize"] == 0
+
+    def test_view_derives_its_own_map_lazily(self, frame):
+        display = DisplayGeometry()
+        base = FrameContext(frame, eccentricity=40.0, display=display)
+        view = base.for_fixation((0.1, 0.9))
+        assert view.fixation == (0.1, 0.9)
+        assert base.stats["eccentricity"] == 0
+        expected = display.eccentricity_map(24, 24, fixation=(0.1, 0.9))
+        assert view.eccentricity is expected
+        assert base.stats["eccentricity"] == 1
+        assert (base.eccentricity == 40.0).all()  # the base keeps its own
+
+    def test_view_of_a_view_shares_the_first_base(self, frame):
+        base = FrameContext(frame)
+        nested = base.for_fixation((0.3, 0.3)).for_fixation((0.6, 0.6))
+        assert nested.srgb8 is base.srgb8
+        assert nested.fixation == (0.6, 0.6)
+        assert base.stats["quantize"] == 1
+
+
 class TestDisplayMapCache:
     def test_same_request_returns_cached_readonly_array(self):
         a = QUEST2_DISPLAY.eccentricity_map(40, 40)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenes.primitives import (
+    _clip_span,
     draw_box,
     draw_disk,
     mix_noise,
@@ -128,3 +131,33 @@ class TestMixNoise:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             mix_noise(solid((4, 4), [0, 0, 0]), np.zeros((3, 3)), [1, 1, 1], 0.5)
+
+
+def _np_clip_span(start, stop, limit):
+    """The former two-``np.clip`` form of ``_clip_span``, as an oracle."""
+    lo = int(np.clip(round(start), 0, limit))
+    hi = int(np.clip(round(stop), 0, limit))
+    return lo, max(lo, hi)
+
+
+# Out-of-range, negative, and exact ``.5`` ties (banker's rounding).
+_COORDS = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=-400, max_value=400).map(lambda k: k + 0.5),
+    st.integers(min_value=-400, max_value=400).map(float),
+)
+
+
+class TestClipSpan:
+    @settings(max_examples=300, deadline=None)
+    @given(_COORDS, _COORDS, st.integers(min_value=0, max_value=300), st.booleans())
+    def test_matches_np_clip_form(self, start, stop, limit, numpy_scalars):
+        if numpy_scalars:
+            start, stop = np.float64(start), np.float64(stop)
+        got = _clip_span(start, stop, limit)
+        assert got == _np_clip_span(start, stop, limit)
+        assert all(type(bound) is int for bound in got)
+
+    def test_ties_round_half_to_even(self):
+        assert _clip_span(2.5, 3.5, 10) == (2, 4)
+        assert _clip_span(np.float64(-0.5), np.float64(10.5), 10) == (0, 10)

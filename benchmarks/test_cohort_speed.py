@@ -8,10 +8,12 @@ times the exact engine on the *same* fleet and asserts the >= 50x
 speedup the fast path must deliver to justify its existence
 (``BENCH_8.json`` pins both sides).
 
-The exact side uses ``pricing="round"`` — its fluid scheduler drains
-equal-remaining payloads in one step, so 10k identical-within-cohort
-streams stay minutes-not-hours — and every client in a cohort carries
-that cohort's payloads, so both engines price the same traffic.
+The exact side is the engine's event kernel, the one every contended
+fleet runs on: it re-divides the link once per simulated instant and
+arms a completion only for the flows that finish first, so 10k streams
+cost one pass over the in-flight flows per cohort completion rather
+than one per event.  Every client in a cohort carries that cohort's
+payloads, so both engines price the same traffic.
 """
 
 import time
@@ -77,7 +79,7 @@ def run_cohort_fleet():
 
 
 def run_exact_fleet():
-    engine = StreamingEngine(LINK, scheduler="fair", pricing="round")
+    engine = StreamingEngine(LINK, scheduler="fair")
     return engine.run(make_exact_specs(), seed=SEED)
 
 

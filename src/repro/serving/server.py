@@ -641,7 +641,7 @@ class _Connection:
         # The channel was busy until the previous ACK: measure this
         # frame's drain from whichever came later, its own send or the
         # previous frame's completion — the live twin of the engine's
-        # queue-behind-backlog serialization pricing.
+        # queue-behind-backlog serialization.
         drain_s = max(1e-9, ack_s - max(send_s, self.last_ack_s))
         self.last_ack_s = ack_s
         self.acked += 1

@@ -59,9 +59,11 @@ from .adaptive import RateController, get_controller
 from .engine import (
     AdaptationState,
     AdaptiveStats,
-    FrameTiming,
+    PrecomputedSource,
+    finish_frame,
     frames_within_window,
     get_scheduler,
+    solo_trajectory,
 )
 from .link import WIFI6_LINK, WirelessLink
 from .loss import LossRuntime, RecoveryPolicy, get_recovery_policy
@@ -551,13 +553,14 @@ def _simulate_cohort(
 ) -> _CohortOutcome:
     """Advance one cohort through the solo recurrence on its member link.
 
-    The deterministic trajectory below mirrors the exact engine's
-    single-stream path (``StreamingEngine._run_solo``) operation for
-    operation — same queue-wait source, same serialization call, same
-    backlog clamp — which is what makes tracer reports bit-for-bit
-    reproducible there.  Jitter never feeds back into backlog or the
-    controller (it is post-transmission overhead), so the trajectory is
-    shared by every member and computed once.
+    The deterministic trajectory is
+    :func:`~repro.streaming.engine.solo_trajectory` — the very function
+    the exact engine prices a lone stream with — and every tracer
+    frame is finished by :func:`~repro.streaming.engine.finish_frame`,
+    as in the engine; that shared code is what makes tracer reports
+    bit-for-bit reproducible there.  Jitter never feeds back into
+    backlog or the controller (it is post-transmission overhead), so
+    the trajectory is shared by every member and computed once.
 
     On a lossy member link the trajectory serializes **wire** bits
     (FEC inflation is deterministic, so it stays member-shared), while
@@ -576,42 +579,15 @@ def _simulate_cohort(
             raise ValueError("a controller requires a ladder")
         state = AdaptationState(policy, ladder, spec.start_rung, interval_s)
     loss_trace = member_link.loss
-    width = len(spec.payloads[0])
-    rung_map = spec.rung_map if spec.rung_map is not None else tuple(range(width))
-    backlog_s = 0.0
-    frame_rows: list[tuple[int, int, str, float, float]] = []
-    for k in range(spec.frames_to_stream):
-        time_s = spec.start_s + k * interval_s
-        bits = spec.payloads[k % len(spec.payloads)]
-        if state is None:
-            payload, rung_name = bits[0], ""
-        else:
-            chosen = state.choose(k, time_s, bits, member_link.at(time_s) * 1e6)
-            local = rung_map.index(chosen) if chosen in rung_map else 0
-            payload, rung_name = bits[local], state.ladder[rung_map[local]].name
-        queue_wait_s = state.backlog_s if state is not None else backlog_s
-        send_start_s = time_s + queue_wait_s
-        wire_bits = (
-            recovery.wire_bits(payload, loss_trace.packet_bits)
-            if loss_trace is not None and recovery is not None
-            else payload
-        )
-        serialization_s = member_link.serialization_time_s(
-            wire_bits, start_s=send_start_s
-        )
-        if state is not None:
-            state.record(payload, serialization_s)
-        else:
-            backlog_s = max(0.0, backlog_s + serialization_s - interval_s)
-        frame_rows.append((k, payload, rung_name, queue_wait_s, serialization_s))
-
+    steps = solo_trajectory(
+        PrecomputedSource(spec.payloads), spec.frames_to_stream, spec.start_s,
+        interval_s, member_link, state, spec.rung_map, recovery,
+    )
     stats = state.stats() if state is not None else None
 
     # Tracer members: replicate the engine's per-stream RNG spawn
-    # (SeedSequence(seed).spawn(1)[0] for a one-stream run) so jitter
-    # draws — one half-normal per frame, in frame order — match bit
-    # for bit.  On a lossy link the loss draws precede the jitter draw
-    # within each frame, again matching the engine.
+    # (SeedSequence(seed).spawn(1)[0] for a one-stream run) so the
+    # loss and jitter draws of finish_frame match bit for bit.
     tracers: list[ClientReport] = []
     for ti in range(spec.n_tracers):
         rng = np.random.default_rng(
@@ -624,30 +600,13 @@ def _simulate_cohort(
                 interval_s=interval_s,
                 rtt_s=member_link.rtt_s,
             )
-            if loss_trace is not None and recovery is not None
+            if recovery is not None
             else None
         )
-        timings = []
-        for k, payload, rung_name, queue_wait_s, serialization_s in frame_rows:
-            recovery_s = (
-                loss_runtime.on_frame(
-                    rng, payload, serialization_s, spec.start_s + k * interval_s
-                )
-                if loss_runtime is not None
-                else 0.0
-            )
-            overhead_s = member_link.overhead_time_s(rng)
-            timings.append(
-                FrameTiming(
-                    frame_index=k,
-                    payload_bits=payload,
-                    encode_time_s=spec.encode_time_s,
-                    serialization_time_s=serialization_s,
-                    transmit_time_s=queue_wait_s + serialization_s + overhead_s
-                    + recovery_s,
-                    rung=rung_name,
-                )
-            )
+        timings = [
+            finish_frame(step, spec.encode_time_s, member_link, rng, loss_runtime)
+            for step in steps
+        ]
         tracers.append(
             ClientReport(
                 encoder=spec.codec,
@@ -669,8 +628,9 @@ def _simulate_cohort(
         overhead_s = member_link.overhead_time_s(None)
         latencies_s = np.asarray(
             [
-                spec.encode_time_s + (queue_wait_s + serialization_s + overhead_s)
-                for _, _, _, queue_wait_s, serialization_s in frame_rows
+                spec.encode_time_s
+                + (step.queue_wait_s + step.serialization_s + overhead_s)
+                for step in steps
             ]
         )
         sketch.add(latencies_s, weight=float(spec.n_members))
@@ -688,10 +648,7 @@ def _simulate_cohort(
                 np.random.SeedSequence(seed).spawn(n_cohorts)[index]
             )
             base_transmit_s = np.asarray(
-                [
-                    queue_wait_s + serialization_s
-                    for _, _, _, queue_wait_s, serialization_s in frame_rows
-                ]
+                [step.queue_wait_s + step.serialization_s for step in steps]
             )
             propagation_s = member_link.propagation_ms * 1e-3
             drawn = 0
@@ -713,8 +670,8 @@ def _simulate_cohort(
                 sketch.add(latency_s.ravel())
                 drawn += rows
 
-    member_payload_bits = int(sum(row[1] for row in frame_rows))
-    mean_serialization_s = float(np.mean([row[4] for row in frame_rows]))
+    member_payload_bits = int(sum(step.payload_bits for step in steps))
+    mean_serialization_s = float(np.mean([step.serialization_s for step in steps]))
     summary = CohortSummary(
         name=spec.name,
         scene=spec.scene,

@@ -17,14 +17,12 @@ ns-3-style discrete-event core:
   rung, a :class:`LinkScheduler` divides the air among concurrent
   transmissions, and a (possibly traced)
   :class:`~repro.streaming.link.WirelessLink` prices them;
-* two **transport pricing** disciplines: ``"backlog"`` gives every
-  stream its own display clock and queues payloads behind the stream's
-  transmit backlog, resolving cross-stream contention event by event in
-  the fluid limit; ``"round"`` replays the legacy fleet semantics —
-  every round's payloads offered together at the round start — for
-  continuity with previously published tables (bit for bit up to the
-  per-stream jitter-RNG change below; exactly so on jitter-free
-  links).
+* one **transport** rule: every stream runs on its own display
+  clock and queues payloads behind its own transmit backlog, and
+  concurrent transmissions share the link in the scheduler's fluid
+  limit, resolved event by event.  A lone stream has no contention, so
+  its timeline is resolved in closed form by :func:`solo_trajectory`,
+  the same recurrence the cohort engine advances its members with.
 
 The public simulators are now thin wrappers: a solo session is a fleet
 of one, a pinned codec is a non-adaptive stream, and the fleet simply
@@ -41,19 +39,14 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..codecs.ladder import encode_frame_rungs
 from .link import WirelessLink
-from .loss import LossRuntime, LossStats, get_recovery_policy
-from .validation import (
-    PRICING_MODES,
-    validate_pricing,
-    validate_stream_timing,
-    validate_stream_window,
-)
+from .loss import LossRuntime, LossStats, RecoveryPolicy, get_recovery_policy
+from .validation import validate_stream_timing, validate_stream_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..codecs.ladder import QualityLadder
@@ -80,8 +73,10 @@ __all__ = [
     "frames_within_window",
     "StreamSpec",
     "StreamOutcome",
+    "FrameStep",
+    "solo_trajectory",
+    "finish_frame",
     "StreamingEngine",
-    "PRICING_MODES",
 ]
 
 #: Payload remainders below this many bits count as fully drained
@@ -171,30 +166,11 @@ class FrameTiming:
 # -- link schedulers ----------------------------------------------------
 
 
-class LinkScheduler(abc.ABC):
+class LinkScheduler:
     """Divides one link's capacity among simultaneous frame payloads."""
 
     #: Registry name (the CLI's ``--scheduler`` spelling).
     name: str = ""
-
-    @abc.abstractmethod
-    def drain_times_s(
-        self,
-        payload_bits: Sequence[float],
-        weights: Sequence[float],
-        link: WirelessLink,
-        start_s: float = 0.0,
-    ) -> list[float]:
-        """Completion time of each payload, offered at ``start_s``.
-
-        Returns one drain time per payload: how long after the round
-        starts that client's last bit leaves the air.  Zero-size
-        payloads never occupy the link.  ``start_s`` anchors the round
-        on the session clock so traced links price each round at its
-        own bandwidth; constant links ignore it.  (This is the batch
-        entry point ``pricing="round"`` replays; the event kernel uses
-        :meth:`instantaneous_shares` instead.)
-        """
 
     def instantaneous_shares(self, weights: Sequence[float]) -> list[float]:
         """Fraction of link capacity each backlogged flow gets *now*.
@@ -203,8 +179,7 @@ class LinkScheduler(abc.ABC):
         transmissions changes and lets each flow drain at its share of
         the (possibly traced) link rate until the next event.  The
         default is generalized processor sharing — capacity in
-        proportion to weight — which makes any subclass work under
-        ``pricing="backlog"``; disciplines with different preemption
+        proportion to weight; disciplines with different preemption
         rules (e.g. strict priority) override it.
 
         Parameters
@@ -223,56 +198,17 @@ class LinkScheduler(abc.ABC):
         total = sum(weights)
         return [w / total for w in weights]
 
-    @staticmethod
-    def _validate(payload_bits: Sequence[float], weights: Sequence[float]) -> None:
-        """Reject mismatched lengths, negative payloads, bad weights."""
-        if len(payload_bits) != len(weights):
-            raise ValueError(
-                f"{len(payload_bits)} payloads but {len(weights)} weights"
-            )
-        if any(p < 0 for p in payload_bits):
-            raise ValueError("payloads must be >= 0 bits")
-        if any(w <= 0 for w in weights):
-            raise ValueError("scheduler weights must be positive")
-
 
 class FairShareScheduler(LinkScheduler):
     """Weighted fair queueing in the fluid (GPS) limit.
 
     Every backlogged client receives capacity in proportion to its
     weight; when one drains, its share redistributes among the rest.
-    Equal weights give the classic per-client ``1/n`` fair share.  In
-    round pricing on a traced link the rate is re-sampled at the start
-    of each fluid step (a drain event), a piecewise approximation that
-    is exact whenever trace boundaries do not fall inside a step; the
-    event kernel's backlog pricing integrates the trace exactly
-    instead.
+    Equal weights give the classic per-client ``1/n`` fair share.  On a
+    traced link the event kernel integrates the trace exactly.
     """
 
     name = "fair"
-
-    def drain_times_s(self, payload_bits, weights, link, start_s=0.0):
-        """See :meth:`LinkScheduler.drain_times_s`."""
-        self._validate(payload_bits, weights)
-        remaining = [float(bits) for bits in payload_bits]
-        finish = [0.0] * len(remaining)
-        active = [i for i, bits in enumerate(remaining) if bits > 0]
-        now = 0.0
-        while active:
-            bandwidth = link.at(start_s + now) * 1e6
-            total_weight = sum(weights[i] for i in active)
-            rates = {i: bandwidth * weights[i] / total_weight for i in active}
-            step = min(remaining[i] / rates[i] for i in active)
-            now += step
-            still_active = []
-            for i in active:
-                remaining[i] -= rates[i] * step
-                if remaining[i] <= _DRAIN_EPSILON_BITS:
-                    finish[i] = now
-                else:
-                    still_active.append(i)
-            active = still_active
-        return finish
 
 
 class PriorityScheduler(LinkScheduler):
@@ -280,27 +216,10 @@ class PriorityScheduler(LinkScheduler):
 
     Ties break in client order.  The heaviest client sees a dedicated
     link — useful to model one latency-critical headset among best-
-    effort peers.  On a traced link each transmission serializes at its
-    own (queued) start time, so fades land on whoever is on the air.
+    effort peers.  On a traced link fades land on whoever is on the air.
     """
 
     name = "priority"
-
-    def drain_times_s(self, payload_bits, weights, link, start_s=0.0):
-        """See :meth:`LinkScheduler.drain_times_s`."""
-        self._validate(payload_bits, weights)
-        order = sorted(
-            range(len(payload_bits)), key=lambda i: (-weights[i], i)
-        )
-        finish = [0.0] * len(payload_bits)
-        now = 0.0
-        for i in order:
-            if payload_bits[i] > 0:
-                now += link.serialization_time_s(
-                    payload_bits[i], start_s=start_s + now
-                )
-                finish[i] = now
-        return finish
 
     def instantaneous_shares(self, weights):
         """All capacity to the heaviest backlogged flow (ties: first)."""
@@ -720,14 +639,13 @@ class StreamSpec:
         Frames to stream.
     target_fps:
         The stream's own display refresh rate; sets its frame interval
-        (and, under ``pricing="backlog"``, its clock).
+        and its clock.
     encode_time_s:
         Server-side encode time charged to every frame.
     weight:
         Scheduling weight under contention.
     start_s:
-        Session time the stream joins (``pricing="backlog"`` only);
-        models late joiners.
+        Session time the stream joins; models late joiners.
     stop_s:
         Session time the stream departs, or ``None`` to stream all
         ``n_frames``.  Frames whose ready time falls at or after
@@ -805,6 +723,158 @@ class StreamOutcome:
     loss: LossStats | None = None
 
 
+# -- the per-frame step -------------------------------------------------
+
+
+class FrameStep(NamedTuple):
+    """One frame's deterministic fate, fixed before any random draw.
+
+    Attributes
+    ----------
+    frame_index:
+        Zero-based frame number within the stream.
+    time_s:
+        Session time the frame was ready (its nominal display slot).
+    payload_bits:
+        Encoded size of the transmitted stereo pair.
+    rung:
+        Quality-ladder rung name; empty for non-adaptive streams.
+    queue_wait_s:
+        Time the payload waited behind the stream's transmit backlog.
+    serialization_s:
+        Airtime of the payload's wire bits (contended drain time inside
+        a fleet).
+    """
+
+    frame_index: int
+    time_s: float
+    payload_bits: int
+    rung: str
+    queue_wait_s: float
+    serialization_s: float
+
+
+def _choose_payload(
+    bits: Sequence[int],
+    adaptation: AdaptationState | None,
+    rung_map: tuple[int, ...] | None,
+    frame_index: int,
+    time_s: float,
+    link: WirelessLink,
+) -> tuple[int, str]:
+    """Ask the stream's controller (if any) for this frame's rung.
+
+    Returns the payload bits and the rung name ("" when pinned).
+    """
+    if adaptation is None:
+        return bits[0], ""
+    chosen = adaptation.choose(frame_index, time_s, bits, link.at(time_s) * 1e6)
+    rung_map = rung_map if rung_map is not None else tuple(range(len(bits)))
+    local = rung_map.index(chosen) if chosen in rung_map else 0
+    return bits[local], adaptation.ladder[rung_map[local]].name
+
+
+def solo_trajectory(
+    source: FrameSource,
+    n_frames: int,
+    start_s: float,
+    interval_s: float,
+    link: WirelessLink,
+    adaptation: AdaptationState | None = None,
+    rung_map: tuple[int, ...] | None = None,
+    recovery: RecoveryPolicy | None = None,
+) -> list[FrameStep]:
+    """Closed-form timeline of one uncontended stream.
+
+    Frame ``k`` is ready at ``start_s + k * interval_s``.  Each frame
+    picks its rung, queues behind the stream's transmit backlog,
+    serializes its wire bits through the (possibly traced) link from
+    its send time, and rolls the backlog forward — through
+    ``adaptation`` when the stream adapts, else a plain clamp at zero.
+    Jitter and loss recovery never feed back into the backlog, so the
+    trajectory needs no random draws; :func:`finish_frame` adds them.
+
+    This is the event kernel's outcome for a lone stream, without the
+    kernel: :meth:`StreamingEngine.run` uses it for single-stream runs
+    and the cohort engine advances every member of a cohort with it.
+
+    Parameters
+    ----------
+    source:
+        Per-frame rung sizes, requested in frame order.
+    n_frames:
+        Frames to stream.
+    start_s, interval_s:
+        The stream's clock: first ready time and frame interval.
+    link:
+        The link the stream has to itself.
+    adaptation:
+        Optional controller state; ``None`` pins the first rung.
+    rung_map:
+        Ladder indices available in ``source`` (``None`` = identity).
+    recovery:
+        Loss recovery policy on a lossy ``link`` (its FEC parity
+        inflates the wire bits); ``None`` on a lossless one.
+    """
+    backlog_s = 0.0
+    steps: list[FrameStep] = []
+    for frame_index in range(n_frames):
+        time_s = start_s + frame_index * interval_s
+        payload, rung = _choose_payload(
+            source.rung_bits(frame_index), adaptation, rung_map, frame_index,
+            time_s, link,
+        )
+        queue_wait_s = adaptation.backlog_s if adaptation is not None else backlog_s
+        wire_bits = (
+            recovery.wire_bits(payload, link.loss.packet_bits)
+            if recovery is not None
+            else payload
+        )
+        serialization_s = link.serialization_time_s(
+            wire_bits, start_s=time_s + queue_wait_s
+        )
+        if adaptation is not None:
+            adaptation.record(payload, serialization_s)
+        else:
+            backlog_s = max(0.0, backlog_s + serialization_s - interval_s)
+        steps.append(
+            FrameStep(frame_index, time_s, payload, rung, queue_wait_s, serialization_s)
+        )
+    return steps
+
+
+def finish_frame(
+    step: FrameStep,
+    encode_time_s: float,
+    link: WirelessLink,
+    rng: np.random.Generator,
+    loss: LossRuntime | None = None,
+) -> FrameTiming:
+    """Draw a priced frame's loss recovery, then its jitter.
+
+    The draw order is fixed — loss first, then one half-normal jitter
+    sample — so any caller that replays a stream's steps with the
+    stream's own generator reproduces its timings bit for bit.  Queue
+    wait, airtime, propagation, jitter and recovery delay add up to the
+    transmit time.
+    """
+    recovery_s = (
+        loss.on_frame(rng, step.payload_bits, step.serialization_s, step.time_s)
+        if loss is not None
+        else 0.0
+    )
+    overhead_s = link.overhead_time_s(rng)
+    return FrameTiming(
+        frame_index=step.frame_index,
+        payload_bits=step.payload_bits,
+        encode_time_s=encode_time_s,
+        serialization_time_s=step.serialization_s,
+        transmit_time_s=step.queue_wait_s + step.serialization_s + overhead_s
+        + recovery_s,
+        rung=step.rung,
+    )
+
+
 # -- kernel runtime state -----------------------------------------------
 
 
@@ -814,13 +884,12 @@ class _Flow:
     __slots__ = (
         "frame_index",
         "payload_bits",
-        "wire_bits",
         "rung_name",
         "nominal_s",
         "send_start_s",
         "remaining_bits",
         "share",
-        "version",
+        "done_s",
     )
 
     def __init__(
@@ -828,21 +897,18 @@ class _Flow:
     ):
         self.frame_index = frame_index
         self.payload_bits = payload_bits
-        self.wire_bits = wire_bits
         self.rung_name = rung_name
         self.nominal_s = nominal_s
         self.send_start_s = send_start_s
         self.remaining_bits = float(wire_bits)
         self.share = 0.0
-        self.version = 0
+        self.done_s = math.inf  # when its armed TRANSMIT_DONE fires
 
 
 class _StreamRuntime:
     """Mutable per-stream bookkeeping for one engine run."""
 
-    __slots__ = (
-        "spec", "rng", "queue", "flow", "pending_start", "timings", "backlog_s", "loss"
-    )
+    __slots__ = ("spec", "rng", "queue", "flow", "pending_start", "timings", "loss")
 
     def __init__(self, spec: StreamSpec, rng: np.random.Generator):
         self.spec = spec
@@ -851,7 +917,6 @@ class _StreamRuntime:
         self.flow: _Flow | None = None
         self.pending_start = False
         self.timings: list[FrameTiming] = []
-        self.backlog_s = 0.0  # non-adaptive solo streams track their own
         self.loss: LossRuntime | None = None  # set by run() on lossy links
 
 
@@ -861,34 +926,19 @@ class _StreamRuntime:
 class StreamingEngine:
     """Discrete-event simulation core shared by every streaming path.
 
+    Each stream runs on its own display clock (``start_s`` plus
+    multiples of its frame interval) and queues payloads behind its own
+    transmit backlog.  Concurrent transmissions share the link in the
+    fluid limit of the scheduler's
+    :meth:`~LinkScheduler.instantaneous_shares`, integrated exactly
+    through a traced link's capacity profile.
+
     Parameters
     ----------
     link:
         The (possibly traced) wireless link all streams share.
     scheduler:
         Link scheduling discipline (name or :class:`LinkScheduler`).
-    pricing:
-        Transport pricing mode, one of
-        :data:`~repro.streaming.validation.PRICING_MODES`:
-
-        ``"backlog"``
-            Each stream runs on its own display clock (``start_s`` +
-            multiples of its frame interval) and queues payloads behind
-            its own transmit backlog.  Concurrent transmissions share
-            the link in the fluid limit of the scheduler's
-            :meth:`~LinkScheduler.instantaneous_shares`, integrated
-            exactly through a traced link's capacity profile.
-        ``"round"``
-            The legacy fleet semantics: all streams tick on one round
-            clock (the fastest stream's interval) and every round's
-            payloads are offered together at the round start via
-            :meth:`~LinkScheduler.drain_times_s`, with backlog feeding
-            the controllers and the stall metric rather than the
-            scheduler.  Drain pricing is preserved bit for bit; jitter
-            overhead now draws from the per-stream spawned RNGs, so on
-            links with ``jitter_ms > 0`` transmit times differ from
-            the pre-engine shared-RNG draws (a one-time, documented
-            change).
     recovery:
         Loss recovery policy — a name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES`, a
@@ -899,25 +949,24 @@ class StreamingEngine:
 
     Notes
     -----
-    A single-stream run under ``"backlog"`` is priced analytically —
-    the event timeline of a lone stream is deterministic, so each
-    frame resolves at its :data:`FRAME_READY` event exactly as the
-    historical session loops did (controller feedback included), which
-    keeps solo reports bit-for-bit stable.  Multi-stream runs resolve
-    contention event by event, so a controller sees a frame's feedback
-    when its transmission actually completes.
+    A single-stream run is priced in closed form by
+    :func:`solo_trajectory` — the event timeline of a lone stream is
+    deterministic, so each frame resolves at its :data:`FRAME_READY`
+    event exactly as the historical session loops did (controller
+    feedback included), which keeps solo reports bit-for-bit stable.
+    Multi-stream runs resolve contention event by event, so a
+    controller sees a frame's feedback when its transmission actually
+    completes.
     """
 
     def __init__(
         self,
         link: WirelessLink,
         scheduler: str | LinkScheduler = "fair",
-        pricing: str = "backlog",
         recovery=None,
     ):
         self.link = link
         self.scheduler = get_scheduler(scheduler)
-        self.pricing = validate_pricing(pricing)
         if link.loss is not None:
             self.recovery = get_recovery_policy(recovery)
         elif recovery is not None:
@@ -973,9 +1022,7 @@ class StreamingEngine:
                     rtt_s=self.link.rtt_s,
                 )
         self._events: list[Event] = []
-        if self.pricing == "round":
-            self._run_round_priced(runtimes)
-        elif len(runtimes) == 1:
+        if len(runtimes) == 1:
             self._run_solo(runtimes[0])
         else:
             self._run_event_kernel(runtimes)
@@ -994,171 +1041,49 @@ class StreamingEngine:
             for rt in runtimes
         ]
 
-    # -- shared helpers -------------------------------------------------
-
-    def _choose_payload(
-        self, rt: _StreamRuntime, frame_index: int, time_s: float
-    ) -> tuple[int, str]:
-        """Ask the stream's controller (if any) for this frame's rung.
-
-        Returns the payload bits and the rung name ("" when pinned).
-        """
-        spec = rt.spec
-        bits = spec.source.rung_bits(frame_index)
-        state = spec.adaptation
-        if state is None:
-            return bits[0], ""
-        chosen = state.choose(frame_index, time_s, bits, self.link.at(time_s) * 1e6)
-        rung_map = (
-            spec.rung_map if spec.rung_map is not None else tuple(range(len(bits)))
-        )
-        local = rung_map.index(chosen) if chosen in rung_map else 0
-        return bits[local], state.ladder[rung_map[local]].name
-
     def _log(self, time_s: float, kind: str, stream: str, frame_index: int) -> None:
         self._events.append(Event(time_s, kind, stream, frame_index))
 
-    # -- round pricing (legacy fleet semantics) -------------------------
-
-    def _run_round_priced(self, runtimes: list[_StreamRuntime]) -> None:
-        """All streams tick together; each round priced as one batch."""
-        if any(rt.spec.start_s != 0.0 for rt in runtimes):
-            raise ValueError(
-                'staggered start_s requires pricing="backlog"; '
-                'round pricing shares one round clock'
-            )
-        interval_s = 1.0 / max(rt.spec.target_fps for rt in runtimes)
-        n_rounds = max(rt.spec.n_frames for rt in runtimes)
-        weights_all = [rt.spec.weight for rt in runtimes]
-        for frame_index in range(n_rounds):
-            round_start_s = frame_index * interval_s
-            # A departed stream (stop_s at or before this round's start)
-            # contributes nothing to the round's batch — the round-clock
-            # equivalent of the backlog kernel never producing frames
-            # after the departure.
-            active = [
-                rt
-                for rt in runtimes
-                if frame_index < rt.spec.n_frames
-                and (rt.spec.stop_s is None or round_start_s < rt.spec.stop_s)
-            ]
-            if not active:
-                continue
-            payloads: list[int] = []
-            rung_names: list[str] = []
-            for rt in active:
-                payload, rung_name = self._choose_payload(
-                    rt, frame_index, round_start_s
-                )
-                payloads.append(payload)
-                rung_names.append(rung_name)
-                self._log(round_start_s, FRAME_READY, rt.spec.name, frame_index)
-            weights = (
-                weights_all
-                if len(active) == len(runtimes)
-                else [rt.spec.weight for rt in active]
-            )
-            # FEC parity inflates what the link must carry, so drain
-            # pricing sees wire bits; payload bits stay the reported
-            # (and controller-visible) frame size.  Lossless links take
-            # the unmodified historical path.
-            wire_payloads = (
-                [rt.loss.wire_bits(p) for rt, p in zip(active, payloads)]
-                if self.link.loss is not None
-                else payloads
-            )
-            drains = self.scheduler.drain_times_s(
-                wire_payloads, weights, self.link, start_s=round_start_s
-            )
-            for rt, payload, rung_name, drain in zip(
-                active, payloads, rung_names, drains
-            ):
-                recovery_s = (
-                    rt.loss.on_frame(rt.rng, payload, drain, round_start_s)
-                    if rt.loss is not None
-                    else 0.0
-                )
-                overhead = self.link.overhead_time_s(rt.rng)
-                if rt.spec.adaptation is not None:
-                    rt.spec.adaptation.record(payload, drain)
-                rt.timings.append(
-                    FrameTiming(
-                        frame_index=frame_index,
-                        payload_bits=payload,
-                        encode_time_s=rt.spec.encode_time_s,
-                        serialization_time_s=drain,
-                        transmit_time_s=drain + overhead + recovery_s,
-                        rung=rung_name,
-                    )
-                )
-                self._log(round_start_s, TRANSMIT_START, rt.spec.name, frame_index)
-                self._log(
-                    round_start_s + drain, TRANSMIT_DONE, rt.spec.name, frame_index
-                )
-
-    # -- solo fast path (deterministic timeline) ------------------------
+    # -- a lone stream (closed form) ------------------------------------
 
     def _run_solo(self, rt: _StreamRuntime) -> None:
-        """Backlog pricing for a lone stream, resolved analytically.
-
-        With no cross-stream contention every frame's fate is fixed the
-        moment it is ready: it queues behind the stream's backlog,
-        serializes through the (possibly traced) link from its send
-        time, and rolls the backlog forward.  Resolving at the
-        :data:`FRAME_READY` event preserves the historical session
-        loops bit for bit, controller feedback order included.
-        """
+        """Price a lone stream with :func:`solo_trajectory`."""
         spec = rt.spec
-        state = spec.adaptation
-        interval_s = spec.interval_s
-        for frame_index in range(spec.frames_to_stream):
-            time_s = spec.start_s + frame_index * interval_s
-            self._log(time_s, FRAME_READY, spec.name, frame_index)
-            payload, rung_name = self._choose_payload(rt, frame_index, time_s)
-            # The payload queues behind the existing backlog before it
-            # can start serializing; the wait is part of this frame's
-            # latency (transmit time) but not of its airtime
-            # (serialization).
-            queue_wait_s = state.backlog_s if state is not None else rt.backlog_s
-            send_start_s = time_s + queue_wait_s
-            # Loss draws land before the jitter draw — the fixed
-            # per-frame draw order the cohort tracers replicate.  On a
-            # lossless link neither branch draws nor changes a bit.
-            if rt.loss is not None:
-                serialization = self.link.serialization_time_s(
-                    rt.loss.wire_bits(payload), start_s=send_start_s
-                )
-                recovery_s = rt.loss.on_frame(rt.rng, payload, serialization, time_s)
-            else:
-                serialization = self.link.serialization_time_s(
-                    payload, start_s=send_start_s
-                )
-                recovery_s = 0.0
-            overhead = self.link.overhead_time_s(rt.rng)
-            rt.timings.append(
-                FrameTiming(
-                    frame_index=frame_index,
-                    payload_bits=payload,
-                    encode_time_s=spec.encode_time_s,
-                    serialization_time_s=serialization,
-                    transmit_time_s=queue_wait_s + serialization + overhead
-                    + recovery_s,
-                    rung=rung_name,
-                )
-            )
-            if state is not None:
-                state.record(payload, serialization)
-            else:
-                rt.backlog_s = max(0.0, rt.backlog_s + serialization - interval_s)
-            self._log(send_start_s, TRANSMIT_START, spec.name, frame_index)
+        steps = solo_trajectory(
+            spec.source, spec.frames_to_stream, spec.start_s, spec.interval_s,
+            self.link, spec.adaptation, spec.rung_map, self.recovery,
+        )
+        for step in steps:
+            send_start_s = step.time_s + step.queue_wait_s
+            self._log(step.time_s, FRAME_READY, spec.name, step.frame_index)
+            self._log(send_start_s, TRANSMIT_START, spec.name, step.frame_index)
             self._log(
-                send_start_s + serialization, TRANSMIT_DONE, spec.name, frame_index
+                send_start_s + step.serialization_s, TRANSMIT_DONE, spec.name,
+                step.frame_index,
+            )
+            rt.timings.append(
+                finish_frame(step, spec.encode_time_s, self.link, rt.rng, rt.loss)
             )
 
     # -- the event kernel (fluid contention) ----------------------------
 
     def _run_event_kernel(self, runtimes: list[_StreamRuntime]) -> None:
-        """Event-driven backlog pricing for contending streams."""
+        """Event-driven contention among several streams.
+
+        The link is re-divided once per simulated instant, after the
+        last event at that time, and only the flows that finish first
+        get a :data:`TRANSMIT_DONE`: a completion always re-divides the
+        link, which re-prices every other flow at that moment.  So an
+        instant costs one pass over the in-flight flows, however many
+        transmissions start or finish in it.
+
+        One case re-divides at once: a drained flow (no bits left, e.g.
+        a zero-bit payload) with no completion armed for the current
+        instant.  It completes in the first active set that gives it a
+        share — possibly one that lasts zero time, such as the gap
+        between a strict-priority stream's completion and its next
+        start.
+        """
         heap: list[tuple] = []
         seq = 0
 
@@ -1182,6 +1107,8 @@ class StreamingEngine:
 
         clock = 0.0
         version_counter = 0
+        # Drained flows whose completion is not armed for the clock.
+        unarmed_drained: set[int] = set()
 
         def advance(now: float) -> None:
             """Drain every in-flight flow at its share up to ``now``."""
@@ -1189,29 +1116,36 @@ class StreamingEngine:
             if now <= clock:
                 return
             capacity = self.link.capacity_bits(clock, now)
-            for rt in runtimes:
+            for i, rt in enumerate(runtimes):
                 flow = rt.flow
                 if flow is not None and flow.share > 0.0:
                     flow.remaining_bits = max(
                         0.0, flow.remaining_bits - flow.share * capacity
                     )
+                    if flow.remaining_bits <= _DRAIN_EPSILON_BITS and flow.done_s != now:
+                        unarmed_drained.add(i)
             clock = now
 
         def reschedule(now: float) -> None:
-            """Re-divide the link after the active set changed."""
+            """Re-divide the link and arm the earliest completions."""
             nonlocal version_counter
+            unarmed_drained.clear()
             active = [i for i, rt in enumerate(runtimes) if rt.flow is not None]
             if not active:
                 return
             shares = self.scheduler.instantaneous_shares(
                 [runtimes[i].spec.weight for i in active]
             )
+            version_counter += 1  # invalidates every completion armed before
+            earliest_s = math.inf
+            finishers: list[int] = []
             for i, share in zip(active, shares):
                 flow = runtimes[i].flow
-                version_counter += 1
-                flow.version = version_counter
                 flow.share = share
+                flow.done_s = math.inf
                 if share <= 0.0:
+                    if flow.remaining_bits <= _DRAIN_EPSILON_BITS:
+                        unarmed_drained.add(i)  # drained, but starved for now
                     continue  # re-priced when the active set next changes
                 if flow.remaining_bits <= _DRAIN_EPSILON_BITS:
                     finish = now
@@ -1219,15 +1153,26 @@ class StreamingEngine:
                     finish = now + self.link.serialization_time_s(
                         flow.remaining_bits / share, start_s=now
                     )
-                push(finish, TRANSMIT_DONE, i, flow.frame_index, flow.version)
+                if finish < earliest_s:
+                    earliest_s, finishers = finish, [i]
+                elif finish == earliest_s:
+                    finishers.append(i)
+            for i in finishers:
+                flow = runtimes[i].flow
+                flow.done_s = earliest_s
+                push(earliest_s, TRANSMIT_DONE, i, flow.frame_index, version_counter)
 
+        dirty = False  # the active set changed since the last reschedule
         while heap:
             time_s, _, _, kind, index, frame_index, version = heapq.heappop(heap)
             rt = runtimes[index]
             spec = rt.spec
             if kind == FRAME_READY:
                 self._log(time_s, FRAME_READY, spec.name, frame_index)
-                payload, rung_name = self._choose_payload(rt, frame_index, time_s)
+                payload, rung_name = _choose_payload(
+                    spec.source.rung_bits(frame_index), spec.adaptation,
+                    spec.rung_map, frame_index, time_s, self.link,
+                )
                 wire = rt.loss.wire_bits(payload) if rt.loss is not None else payload
                 rt.queue.append((frame_index, payload, wire, rung_name, time_s))
                 if rt.flow is None and not rt.pending_start:
@@ -1239,40 +1184,32 @@ class StreamingEngine:
                 self._log(time_s, TRANSMIT_START, spec.name, frame_index)
                 advance(time_s)
                 rt.flow = _Flow(frame_index, payload, wire, rung_name, nominal_s, time_s)
-                reschedule(time_s)
-            else:  # TRANSMIT_DONE
+                if rt.flow.remaining_bits <= _DRAIN_EPSILON_BITS:
+                    unarmed_drained.add(index)
+                dirty = True
+            elif version == version_counter:
+                # TRANSMIT_DONE that no later reschedule superseded.
                 flow = rt.flow
-                if flow is None or flow.version != version:
-                    continue  # superseded by a later reschedule
                 self._log(time_s, TRANSMIT_DONE, spec.name, flow.frame_index)
                 advance(time_s)
-                serialization = time_s - flow.send_start_s
-                queue_wait_s = flow.send_start_s - flow.nominal_s
-                recovery_s = (
-                    rt.loss.on_frame(
-                        rt.rng, flow.payload_bits, serialization, flow.nominal_s
-                    )
-                    if rt.loss is not None
-                    else 0.0
+                step = FrameStep(
+                    flow.frame_index, flow.nominal_s, flow.payload_bits,
+                    flow.rung_name, flow.send_start_s - flow.nominal_s,
+                    time_s - flow.send_start_s,
                 )
-                overhead = self.link.overhead_time_s(rt.rng)
-                if spec.adaptation is not None:
-                    spec.adaptation.record(flow.payload_bits, serialization)
                 rt.timings.append(
-                    FrameTiming(
-                        frame_index=flow.frame_index,
-                        payload_bits=flow.payload_bits,
-                        encode_time_s=spec.encode_time_s,
-                        serialization_time_s=serialization,
-                        transmit_time_s=queue_wait_s + serialization + overhead
-                        + recovery_s,
-                        rung=flow.rung_name,
-                    )
+                    finish_frame(step, spec.encode_time_s, self.link, rt.rng, rt.loss)
                 )
+                if spec.adaptation is not None:
+                    spec.adaptation.record(flow.payload_bits, step.serialization_s)
                 rt.flow = None
+                unarmed_drained.discard(index)
                 if rt.queue and not rt.pending_start:
                     rt.pending_start = True
                     push(time_s, TRANSMIT_START, index)
+                dirty = True
+            if dirty and (unarmed_drained or not heap or heap[0][0] > time_s):
                 reschedule(time_s)
+                dirty = False
         for rt in runtimes:
             rt.timings.sort(key=lambda timing: timing.frame_index)

@@ -711,10 +711,10 @@ class LossRuntime:
 
     Owns the Gilbert–Elliott chain state carried across frames, the
     decoder poisoning/resync state, and the running telemetry counters.
-    The engine (and the cohort tracer loop, which must replicate the
-    engine's draws exactly) calls :meth:`wire_bits` before pricing a
-    frame's serialization and :meth:`on_frame` immediately after it —
-    before the jitter draw — passing the same per-stream ``rng``.
+    The engine sizes a frame's serialization with :meth:`wire_bits`;
+    once the airtime is known, :func:`~repro.streaming.engine.finish_frame`
+    (shared by the engine and the cohort tracers) calls :meth:`on_frame`
+    right before the jitter draw, with the same per-stream ``rng``.
 
     Parameters
     ----------

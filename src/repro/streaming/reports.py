@@ -375,6 +375,11 @@ def _client_from_dict(data: dict[str, Any]):
     )
 
 
+#: The fleet body's ``"pricing"`` field: a format constant since the
+#: engine has one pricing rule.  Readers reject any other value.
+_FLEET_PRICING = "backlog"
+
+
 def _fleet_to_dict(report) -> dict[str, Any]:
     return {
         "clients": [_client_to_dict(c) for c in report.clients],
@@ -382,13 +387,19 @@ def _fleet_to_dict(report) -> dict[str, Any]:
         "scheduler": report.scheduler,
         "n_frames": report.n_frames,
         "controller": report.controller,
-        "pricing": report.pricing,
+        "pricing": _FLEET_PRICING,
     }
 
 
 def _fleet_from_dict(data: dict[str, Any]):
     from .server import FleetReport
 
+    pricing = data.get("pricing", _FLEET_PRICING)
+    if pricing != _FLEET_PRICING:
+        raise ValueError(
+            f"fleet report field 'pricing' is {pricing!r}; only "
+            f"{_FLEET_PRICING!r} fleets can be loaded (round pricing was removed)"
+        )
     return FleetReport(
         clients=tuple(_client_from_dict(c) for c in data["clients"]),
         link=link_from_dict(data["link"]),
@@ -397,7 +408,6 @@ def _fleet_from_dict(data: dict[str, Any]):
         controller=(
             None if data.get("controller") is None else str(data["controller"])
         ),
-        pricing=str(data.get("pricing", "backlog")),
     )
 
 

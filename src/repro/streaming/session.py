@@ -254,10 +254,9 @@ def simulate_session(
 
     codec = build_streaming_codec(encoder, perceptual_encoder)
 
-    # A solo session is a fleet of one: a single engine stream under
-    # backlog pricing (frames queue behind the stream's own transmit
-    # backlog; on a traced link each payload drains through the trace
-    # from its actual send time).
+    # A solo session is a fleet of one: a single engine stream (frames
+    # queue behind the stream's own transmit backlog; on a traced link
+    # each payload drains through the trace from its actual send time).
     spec = StreamSpec(
         name="session",
         source=CodecStreamSource(scene, [codec], height, width, display),
@@ -265,7 +264,7 @@ def simulate_session(
         target_fps=target_fps,
         encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
     )
-    engine = StreamingEngine(link, pricing="backlog", recovery=recovery)
+    engine = StreamingEngine(link, recovery=recovery)
     outcome = engine.run([spec], seed=seed)[0]
     return SessionReport(
         encoder=encoder,

@@ -1,13 +1,10 @@
 """Tests for the discrete-event streaming kernel.
 
-The two bit-for-bit properties here are the refactor's acceptance
-criteria: a fleet of one reproduces the solo session exactly, and
-``pricing="round"`` reproduces the legacy round-priced fleet engine
-(drain times from one batched scheduler call per round, jitter from
-per-client spawned RNGs) exactly.
+A fleet of one reproduces the solo session bit for bit; contended
+fleets resolve in the fluid limit of the scheduler, re-dividing the
+link once per simulated instant.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,12 +22,11 @@ from repro.streaming.engine import (
     PriorityScheduler,
     StreamingEngine,
     StreamSpec,
-    get_scheduler,
 )
 from repro.streaming.link import WirelessLink
 from repro.streaming.server import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
-from repro.streaming.validation import PRICING_MODES, validate_stream_timing
+from repro.streaming.validation import validate_stream_timing
 
 JITTERY_LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0, jitter_ms=1.0)
 CALM_LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0)
@@ -87,89 +83,6 @@ class TestFleetOfOneIsSolo:
         assert fleet.clients[0].adaptive.stall_time_s == solo.adaptive.stall_time_s
 
 
-class TestRoundPricingIsLegacyFleet:
-    """Acceptance: ``pricing="round"`` == the PR 3 round-priced loop."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        n_clients=st.integers(min_value=1, max_value=3),
-        scheduler=st.sampled_from(("fair", "priority")),
-        seed=st.integers(min_value=0, max_value=2**16),
-        jitter=st.booleans(),
-    )
-    def test_round_pricing_matches_reference_round_loop(
-        self, n_clients, scheduler, seed, jitter
-    ):
-        """Property: every round is priced by one batched scheduler
-        call at the round start — the PR 3 loop, transcribed — plus a
-        jitter draw from this PR's per-client spawned RNGs (the one
-        documented departure from PR 3; jitter-free links are
-        bit-for-bit with the old engine)."""
-        link = JITTERY_LINK if jitter else CALM_LINK
-        clients = [
-            ClientConfig(name=f"c{i}", codec="bd", height=16, width=16,
-                         weight=1.0 + i)
-            for i in range(n_clients)
-        ]
-        n_frames = 2
-        report = simulate_fleet(
-            clients, link, scheduler=scheduler, n_frames=n_frames, seed=seed,
-            pricing="round",
-        )
-        assert report.pricing == "round"
-
-        # Reference: the legacy round loop over the engine's payloads.
-        sched = get_scheduler(scheduler)
-        rngs = [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(n_clients)
-        ]
-        interval = 1.0 / max(c.target_fps for c in clients)
-        weights = [c.weight for c in clients]
-        for k in range(n_frames):
-            payloads = [r.frames[k].payload_bits for r in report.clients]
-            drains = sched.drain_times_s(
-                payloads, weights, link, start_s=k * interval
-            )
-            for ci, r in enumerate(report.clients):
-                overhead = link.overhead_time_s(rngs[ci])
-                assert r.frames[k].serialization_time_s == drains[ci]
-                assert r.frames[k].transmit_time_s == drains[ci] + overhead
-
-    def test_round_equals_backlog_when_nothing_queues(self):
-        """On an uncongested constant link with equal refresh rates the
-        two pricings agree: every frame drains within its interval, so
-        backlog queueing never engages."""
-        clients = [
-            ClientConfig(name=f"c{i}", codec="bd", height=16, width=16)
-            for i in range(3)
-        ]
-        rounds = simulate_fleet(clients, CALM_LINK, n_frames=2, seed=3,
-                                pricing="round")
-        backlog = simulate_fleet(clients, CALM_LINK, n_frames=2, seed=3,
-                                 pricing="backlog")
-        for a, b in zip(rounds.clients, backlog.clients):
-            assert [f.payload_bits for f in a.frames] == [
-                f.payload_bits for f in b.frames
-            ]
-            assert [f.serialization_time_s for f in a.frames] == pytest.approx(
-                [f.serialization_time_s for f in b.frames]
-            )
-
-    def test_round_pricing_rejects_staggered_starts(self):
-        clients = [
-            ClientConfig(name="a", height=16, width=16),
-            ClientConfig(name="b", height=16, width=16, start_s=0.1),
-        ]
-        with pytest.raises(ValueError, match="backlog"):
-            simulate_fleet(clients, CALM_LINK, n_frames=1, pricing="round")
-
-    def test_unknown_pricing_rejected(self):
-        client = ClientConfig(name="a", height=16, width=16)
-        with pytest.raises(ValueError, match="unknown pricing"):
-            simulate_fleet([client], CALM_LINK, n_frames=1, pricing="auction")
-
-
 class TestPerClientJitterRngs:
     def test_adding_a_client_never_perturbs_existing_jitter_draws(self):
         """Satellite: spawned per-client RNGs.  Under strict priority
@@ -179,11 +92,12 @@ class TestPerClientJitterRngs:
         top = ClientConfig(name="top", codec="bd", height=16, width=16,
                            weight=10.0)
         extra = ClientConfig(name="extra", codec="raw", height=16, width=16)
-        alone = simulate_fleet([top], JITTERY_LINK, scheduler="priority",
-                               n_frames=3, seed=21, pricing="round")
-        crowd = simulate_fleet([top, extra], JITTERY_LINK, scheduler="priority",
-                               n_frames=3, seed=21, pricing="round")
-        assert frame_fields(alone.client("top")) == frame_fields(crowd.client("top"))
+        more = ClientConfig(name="more", codec="bd", height=16, width=16)
+        pair = simulate_fleet([top, extra], JITTERY_LINK, scheduler="priority",
+                              n_frames=3, seed=21)
+        crowd = simulate_fleet([top, extra, more], JITTERY_LINK,
+                               scheduler="priority", n_frames=3, seed=21)
+        assert frame_fields(pair.client("top")) == frame_fields(crowd.client("top"))
 
 
 class TestBacklogPricing:
@@ -280,6 +194,41 @@ class TestBacklogPricing:
             assert outcome.frames[0].serialization_time_s == pytest.approx(3.0)
 
 
+class TestKernelWork:
+    def test_heap_pushes_grow_linearly_with_streams(self, monkeypatch):
+        """2,000 equal streams x 2 frames, all ready at t = 0: the link is
+        re-divided once per instant and only the earliest finishers get
+        a completion event, so heap pushes stay O(streams x frames).
+        Re-arming every in-flight flow on every event would push about
+        streams^2 / 2 = 2 million times."""
+        import heapq
+
+        import repro.streaming.engine as engine_module
+
+        pushes = 0
+
+        class CountingHeapq:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, item):
+                nonlocal pushes
+                pushes += 1
+                heapq.heappush(heap, item)
+
+        monkeypatch.setattr(engine_module, "heapq", CountingHeapq)
+        n_streams, n_frames = 2_000, 2
+        source = PrecomputedSource([(50_000,)])
+        specs = [
+            StreamSpec(name=f"s{i}", source=source, n_frames=n_frames, target_fps=72.0)
+            for i in range(n_streams)
+        ]
+        outcomes = StreamingEngine(CALM_LINK).run(specs, seed=0)
+        assert all(len(outcome.frames) == n_frames for outcome in outcomes)
+        # FRAME_READY, TRANSMIT_START and TRANSMIT_DONE: three per frame.
+        assert pushes <= 4 * n_streams * n_frames
+
+
 class TestEventLog:
     def test_every_frame_emits_the_three_event_kinds(self):
         spec = StreamSpec(name="s", source=PrecomputedSource([(100,)]),
@@ -291,19 +240,6 @@ class TestEventLog:
             assert (FRAME_READY, k) in kinds
             assert (TRANSMIT_START, k) in kinds
             assert (TRANSMIT_DONE, k) in kinds
-
-    def test_round_pricing_logs_rounds(self):
-        specs = [
-            StreamSpec(name="a", source=PrecomputedSource([(100,)]),
-                       n_frames=1, target_fps=1.0),
-            StreamSpec(name="b", source=PrecomputedSource([(100,)]),
-                       n_frames=1, target_fps=1.0),
-        ]
-        engine = StreamingEngine(TOY_LINK, pricing="round")
-        engine.run(specs, seed=0)
-        ready = [e for e in engine.last_events if e.kind == FRAME_READY]
-        assert {e.stream for e in ready} == {"a", "b"}
-        assert all(e.time_s == 0.0 for e in ready)
 
 
 class TestSchedulersShares:
@@ -359,7 +295,6 @@ class TestEngineValidation:
             PrecomputedSource([])
         with pytest.raises(ValueError, match="same number of rungs"):
             PrecomputedSource([(1, 2), (1,)])
-        assert PRICING_MODES == ("backlog", "round")
 
 
 class TestLadderEncodeCache:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scenes.gaze import GazeSample
-from repro.streaming.engine import FrameTiming
+from repro.streaming.engine import PrecomputedSource, StreamingEngine, StreamSpec
 from repro.streaming.link import WirelessLink
 from repro.streaming.server import (
     SCHEDULER_CHOICES,
@@ -33,49 +33,40 @@ def small_clients(n, codec="bd", **kwargs):
     ]
 
 
-class TestFairShareScheduler:
-    def test_equal_weights_split_capacity(self):
-        # 100 b/s split two ways: the 100-bit payload drains at 50 b/s
-        # in 2 s; the survivor then gets the whole link.
-        finish = FairShareScheduler().drain_times_s([100, 300], [1.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([2.0, 4.0])
-
-    def test_weights_bias_shares(self):
-        # 3:1 weights: client 0 drains its 150 bits at 75 b/s in 2 s
-        # while client 1 got 25 b/s; the rest finishes at full rate.
-        finish = FairShareScheduler().drain_times_s([150, 150], [3.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([2.0, 3.0])
-
-    def test_last_finisher_equals_total_airtime(self):
-        # Work conservation: the link never idles while bits remain.
-        payloads = [70, 330, 200]
-        finish = FairShareScheduler().drain_times_s(payloads, [1.0, 1.0, 1.0], TOY_LINK)
-        assert max(finish) == pytest.approx(sum(payloads) / 100.0)
-
-    def test_zero_payload_never_occupies_link(self):
-        finish = FairShareScheduler().drain_times_s([0, 100], [1.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([0.0, 1.0])
-
-    def test_single_client_gets_full_link(self):
-        finish = FairShareScheduler().drain_times_s([250], [1.0], TOY_LINK)
-        assert finish == pytest.approx([2.5])
+#: name -> (scheduler, payload bits, weights, expected drain seconds);
+#: every stream sends one frame at t = 0 over the 100 b/s toy link.
+TOY_DRAINS = {
+    # 100 b/s split two ways: the 100-bit payload drains at 50 b/s in
+    # 2 s; the survivor then gets the whole link.
+    "fair-equal-weights": ("fair", [100, 300], [1.0, 1.0], [2.0, 4.0]),
+    # 3:1 weights: client 0 drains its 150 bits at 75 b/s in 2 s while
+    # client 1 got 25 b/s; the rest finishes at full rate.
+    "fair-weights-bias-shares": ("fair", [150, 150], [3.0, 1.0], [2.0, 3.0]),
+    # Work conservation: the link never idles while bits remain, so the
+    # last finisher lands at total bits / rate = 600 / 100 s.
+    "fair-work-conserving": ("fair", [70, 330, 200], [1.0, 1.0, 1.0], [2.1, 6.0, 4.7]),
+    "fair-zero-payload": ("fair", [0, 100], [1.0, 1.0], [0.0, 1.0]),
+    "fair-single-client": ("fair", [250], [1.0], [2.5]),
+    "priority-heavier-preempts": ("priority", [100, 300], [1.0, 2.0], [4.0, 3.0]),
+    "priority-ties-in-client-order": ("priority", [100, 100], [1.0, 1.0], [1.0, 2.0]),
+    # The top client drains as if alone (300 bits in 3 s).
+    "priority-top-uncontended": (
+        "priority", [300, 500, 500], [9.0, 1.0, 1.0], [3.0, 8.0, 13.0]
+    ),
+}
 
 
-class TestPriorityScheduler:
-    def test_heavier_weight_preempts(self):
-        finish = PriorityScheduler().drain_times_s([100, 300], [1.0, 2.0], TOY_LINK)
-        assert finish == pytest.approx([4.0, 3.0])
-
-    def test_ties_break_in_client_order(self):
-        finish = PriorityScheduler().drain_times_s([100, 100], [1.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([1.0, 2.0])
-
-    def test_top_client_is_uncontended(self):
-        alone = PriorityScheduler().drain_times_s([300], [1.0], TOY_LINK)[0]
-        crowded = PriorityScheduler().drain_times_s(
-            [300, 500, 500], [9.0, 1.0, 1.0], TOY_LINK
-        )[0]
-        assert crowded == pytest.approx(alone)
+@pytest.mark.parametrize("case", sorted(TOY_DRAINS))
+def test_scheduler_drains_on_toy_link(case):
+    scheduler, payloads, weights, expected = TOY_DRAINS[case]
+    specs = [
+        StreamSpec(name=f"c{i}", source=PrecomputedSource([(bits,)]),
+                   n_frames=1, target_fps=0.1, weight=weight)
+        for i, (bits, weight) in enumerate(zip(payloads, weights))
+    ]
+    outcomes = StreamingEngine(TOY_LINK, scheduler=scheduler).run(specs)
+    drains = [outcome.frames[0].serialization_time_s for outcome in outcomes]
+    assert drains == pytest.approx(expected)
 
 
 class TestSchedulerValidation:
@@ -88,14 +79,6 @@ class TestSchedulerValidation:
     def test_unknown_scheduler(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             get_scheduler("round-robin")
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="weights"):
-            FairShareScheduler().drain_times_s([1, 2], [1.0], TOY_LINK)
-        with pytest.raises(ValueError, match=">= 0"):
-            FairShareScheduler().drain_times_s([-1], [1.0], TOY_LINK)
-        with pytest.raises(ValueError, match="positive"):
-            PriorityScheduler().drain_times_s([1], [0.0], TOY_LINK)
 
 
 class TestClientConfig:
@@ -200,40 +183,6 @@ class TestFleetReport:
         )
         assert idle.horizon_s == 0.0
         assert idle.link_utilization == 0.0
-
-    def test_round_pricing_presence_ticks_the_round_clock(self):
-        # Under legacy round pricing every client consumes rounds at
-        # the fastest client's rate, so four frames are four round
-        # intervals — not four intervals of the slow client's own fps.
-        def timings(n):
-            return [
-                FrameTiming(
-                    frame_index=i,
-                    payload_bits=1000,
-                    encode_time_s=0.0,
-                    serialization_time_s=0.001,
-                    transmit_time_s=0.001,
-                )
-                for i in range(n)
-            ]
-
-        clients = (
-            ClientReport(encoder="bd", frames=timings(4), target_fps=20.0, name="fast"),
-            ClientReport(encoder="bd", frames=timings(4), target_fps=10.0, name="slow"),
-        )
-        kwargs = dict(link=SHARED_LINK, scheduler="fair", n_frames=4)
-        round_fleet = FleetReport(clients=clients, pricing="round", **kwargs)
-        backlog_fleet = FleetReport(clients=clients, pricing="backlog", **kwargs)
-        # Round clock: both clients were present for 4 / 20 s.
-        assert round_fleet.horizon_s == pytest.approx(4 / 20.0)
-        # Backlog clock: the slow client's own fps sets its presence.
-        assert backlog_fleet.horizon_s == pytest.approx(4 / 10.0)
-        # Equal presence under round pricing means neither client's
-        # demand is discounted relative to the other.
-        demand = sum(r.mean_payload_bits * r.target_fps for r in clients)
-        assert round_fleet.link_utilization == pytest.approx(
-            demand / (SHARED_LINK.bandwidth_mbps * 1e6)
-        )
 
     def test_tail_latency_bounds_mean(self, fleet):
         assert fleet.tail_latency_s(95.0) >= fleet.mean_latency_s

@@ -50,6 +50,7 @@ from .engine import (
     StreamSpec,
 )
 from .link import WirelessLink
+from .reports import register_report_type
 from .session import SessionReport
 from .validation import validate_stream_timing
 
@@ -266,6 +267,9 @@ class AdaptiveSessionReport(SessionReport):
 
     adaptive: AdaptiveStats | None = None
     ladder: tuple[str, ...] = ()
+
+
+register_report_type("adaptive-session", AdaptiveSessionReport)
 
 
 def simulate_adaptive_session(

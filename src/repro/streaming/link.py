@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import LossTrace
+from .reports import omit_when_default
 from .traces import BandwidthTrace
 
 __all__ = ["WirelessLink", "WIFI6_LINK", "WIGIG_LINK", "HALF_NORMAL_MEAN_FACTOR"]
@@ -70,7 +71,7 @@ class WirelessLink:
     propagation_ms: float = 2.0
     jitter_ms: float = 0.0
     trace: BandwidthTrace | None = None
-    loss: LossTrace | None = None
+    loss: LossTrace | None = omit_when_default(None)
 
     def __post_init__(self):
         if self.bandwidth_mbps <= 0:

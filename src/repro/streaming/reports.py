@@ -12,34 +12,39 @@ either side with :func:`report_from_json` and compare attribute by
 attribute, or diff the JSON directly.
 
 Every payload carries a ``"report"`` type tag and a ``"version"``;
-decoding dispatches on the tag through a registry that the serving
-subsystem extends with its own report types
+decoding dispatches on the tag through a registry that each report
+module fills with the dataclasses it defines
 (:func:`register_report_type`), so one loader handles simulator and
-server output alike.
+server output alike.  One codec, driven by the dataclass fields,
+serves every type:
+
+* a body is the fields in declaration order; nested dataclasses,
+  lists, tuples and dicts map onto JSON objects and arrays, and any
+  other object is written by its ``to_dict`` and read by its
+  ``from_dict``;
+* a field declared with :func:`omit_when_default` is written only
+  while it differs from its default; it is the only kind of field a
+  payload may leave out;
+* format constants given at registration are written after the fields
+  and must match on read;
+* reading checks every value against its field's annotation and
+  raises :class:`ValueError` naming the tag and the field path, e.g.
+  ``loadgen-client.frames[3].payload_bits``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any, Callable
-
-from .engine import AdaptiveStats, FrameTiming
-from .link import WirelessLink
-from .loss import LossStats, LossTrace
-from .traces import BandwidthTrace
+import types
+import typing
+from functools import cache
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "REPORT_FORMAT_VERSION",
-    "frame_timing_to_dict",
-    "frame_timing_from_dict",
-    "adaptive_stats_to_dict",
-    "adaptive_stats_from_dict",
-    "loss_stats_to_dict",
-    "loss_stats_from_dict",
-    "loss_trace_to_dict",
-    "loss_trace_from_dict",
-    "link_to_dict",
-    "link_from_dict",
+    "JsonReport",
+    "omit_when_default",
     "register_report_type",
     "report_to_dict",
     "report_from_dict",
@@ -52,9 +57,8 @@ __all__ = [
 #: Version 2 added the ``cohort-fleet`` report type and its quantile-
 #: sketch latency roll-up (see ``docs/fleet-scale.md``).  The lossy-
 #: link fields (``"loss"`` on session bodies and link mappings) are
-#: *conditional* additions — emitted only when a loss trace was
-#: configured — so lossless version-2 payloads are byte-identical to
-#: pre-loss ones and no version bump is warranted.
+#: omitted while unset, so lossless version-2 payloads are
+#: byte-identical to pre-loss ones and no version bump is warranted.
 REPORT_FORMAT_VERSION = 2
 
 #: Versions :func:`report_from_dict` accepts.  Version-1 payloads are
@@ -62,181 +66,26 @@ REPORT_FORMAT_VERSION = 2
 #: reports keep loading.
 _SUPPORTED_VERSIONS = frozenset({1, 2})
 
-
-# -- leaf converters ----------------------------------------------------
-
-
-def frame_timing_to_dict(timing: FrameTiming) -> dict[str, Any]:
-    """One :class:`FrameTiming` as a plain JSON-ready mapping."""
-    return {
-        "frame_index": timing.frame_index,
-        "payload_bits": timing.payload_bits,
-        "encode_time_s": timing.encode_time_s,
-        "serialization_time_s": timing.serialization_time_s,
-        "transmit_time_s": timing.transmit_time_s,
-        "rung": timing.rung,
-    }
+_OMIT = "report_omit_when_default"
 
 
-def frame_timing_from_dict(data: dict[str, Any]) -> FrameTiming:
-    """Rebuild a :class:`FrameTiming` from its mapping form."""
-    return FrameTiming(
-        frame_index=int(data["frame_index"]),
-        payload_bits=int(data["payload_bits"]),
-        encode_time_s=float(data["encode_time_s"]),
-        serialization_time_s=float(data["serialization_time_s"]),
-        transmit_time_s=float(data["transmit_time_s"]),
-        rung=str(data.get("rung", "")),
-    )
+def omit_when_default(default: Any) -> Any:
+    """A dataclass field written only while it differs from ``default``.
 
-
-def adaptive_stats_to_dict(stats: AdaptiveStats | None) -> dict[str, Any] | None:
-    """Adaptation telemetry as a mapping (``None`` passes through)."""
-    if stats is None:
-        return None
-    return {
-        "controller": stats.controller,
-        "rungs": list(stats.rungs),
-        "rung_switches": stats.rung_switches,
-        "time_in_rung": dict(stats.time_in_rung),
-        "stall_time_s": stats.stall_time_s,
-        "mean_quality": stats.mean_quality,
-    }
-
-
-def adaptive_stats_from_dict(data: dict[str, Any] | None) -> AdaptiveStats | None:
-    """Rebuild :class:`AdaptiveStats` (``None`` passes through)."""
-    if data is None:
-        return None
-    return AdaptiveStats(
-        controller=str(data["controller"]),
-        rungs=tuple(str(r) for r in data["rungs"]),
-        rung_switches=int(data["rung_switches"]),
-        time_in_rung={str(k): float(v) for k, v in data["time_in_rung"].items()},
-        stall_time_s=float(data["stall_time_s"]),
-        mean_quality=float(data["mean_quality"]),
-    )
-
-
-def loss_stats_to_dict(stats: LossStats | None) -> dict[str, Any] | None:
-    """Loss/recovery telemetry as a mapping (``None`` passes through)."""
-    if stats is None:
-        return None
-    return {
-        "policy": stats.policy,
-        "frames_displayed": stats.frames_displayed,
-        "frames_lost": stats.frames_lost,
-        "frames_poisoned": stats.frames_poisoned,
-        "resyncs": stats.resyncs,
-        "recovery_time_s": stats.recovery_time_s,
-        "packets_sent": stats.packets_sent,
-        "packets_lost": stats.packets_lost,
-        "retransmits": stats.retransmits,
-        "overhead_bits": stats.overhead_bits,
-        "goodput_bits": stats.goodput_bits,
-        "wasted_bits": stats.wasted_bits,
-    }
-
-
-def loss_stats_from_dict(data: dict[str, Any] | None) -> LossStats | None:
-    """Rebuild :class:`LossStats` (``None`` passes through)."""
-    if data is None:
-        return None
-    return LossStats(
-        policy=str(data["policy"]),
-        frames_displayed=int(data["frames_displayed"]),
-        frames_lost=int(data["frames_lost"]),
-        frames_poisoned=int(data["frames_poisoned"]),
-        resyncs=int(data["resyncs"]),
-        recovery_time_s=float(data["recovery_time_s"]),
-        packets_sent=int(data["packets_sent"]),
-        packets_lost=int(data["packets_lost"]),
-        retransmits=int(data["retransmits"]),
-        overhead_bits=float(data["overhead_bits"]),
-        goodput_bits=float(data["goodput_bits"]),
-        wasted_bits=float(data["wasted_bits"]),
-    )
-
-
-def loss_trace_to_dict(trace: LossTrace | None) -> dict[str, Any] | None:
-    """A loss trace as a mapping (``None`` passes through)."""
-    if trace is None:
-        return None
-    return {
-        "p_loss_good": trace.p_loss_good,
-        "p_loss_bad": trace.p_loss_bad,
-        "p_good_to_bad": trace.p_good_to_bad,
-        "p_bad_to_good": trace.p_bad_to_good,
-        "packet_bits": trace.packet_bits,
-        "reorder_prob": trace.reorder_prob,
-        "reorder_depth": trace.reorder_depth,
-    }
-
-
-def loss_trace_from_dict(data: dict[str, Any] | None) -> LossTrace | None:
-    """Rebuild a :class:`LossTrace` (``None`` passes through)."""
-    if data is None:
-        return None
-    return LossTrace(
-        p_loss_good=float(data["p_loss_good"]),
-        p_loss_bad=float(data["p_loss_bad"]),
-        p_good_to_bad=float(data["p_good_to_bad"]),
-        p_bad_to_good=float(data["p_bad_to_good"]),
-        packet_bits=int(data["packet_bits"]),
-        reorder_prob=float(data["reorder_prob"]),
-        reorder_depth=int(data["reorder_depth"]),
-    )
-
-
-def link_to_dict(link: WirelessLink) -> dict[str, Any]:
-    """A link (and any attached traces) as a mapping.
-
-    The ``"loss"`` key appears only for lossy links, keeping lossless
-    payloads byte-identical to pre-loss serializations.
+    Use it for fields added after a report type first shipped, so
+    payloads that never set them stay byte-identical to older ones.
     """
-    trace = None
-    if link.trace is not None:
-        trace = {
-            "times_s": list(link.trace.times_s),
-            "rates_mbps": list(link.trace.rates_mbps),
-        }
-    body = {
-        "bandwidth_mbps": link.bandwidth_mbps,
-        "propagation_ms": link.propagation_ms,
-        "jitter_ms": link.jitter_ms,
-        "trace": trace,
-    }
-    if link.loss is not None:
-        body["loss"] = loss_trace_to_dict(link.loss)
-    return body
-
-
-def link_from_dict(data: dict[str, Any]) -> WirelessLink:
-    """Rebuild a :class:`WirelessLink` (trace segments included)."""
-    trace = None
-    if data.get("trace") is not None:
-        trace = BandwidthTrace(data["trace"]["times_s"], data["trace"]["rates_mbps"])
-    return WirelessLink(
-        bandwidth_mbps=float(data["bandwidth_mbps"]),
-        propagation_ms=float(data["propagation_ms"]),
-        jitter_ms=float(data["jitter_ms"]),
-        trace=trace,
-        loss=loss_trace_from_dict(data.get("loss")),
-    )
+    return dataclasses.field(default=default, metadata={_OMIT: True})
 
 
 # -- the report-type registry -------------------------------------------
 
-#: tag -> (class, to_dict, from_dict).  Populated below for the
-#: simulator reports; :mod:`repro.serving` registers its own.
-_REPORT_TYPES: dict[str, tuple[type, Callable, Callable]] = {}
+#: tag -> (dataclass, format constants).
+_REPORT_TYPES: dict[str, tuple[type, dict[str, Any]]] = {}
 
 
 def register_report_type(
-    tag: str,
-    cls: type,
-    to_dict: Callable[[Any], dict[str, Any]],
-    from_dict: Callable[[dict[str, Any]], Any],
+    tag: str, cls: type, constants: Mapping[str, Any] | None = None
 ) -> None:
     """Teach the serializer a new report type.
 
@@ -245,22 +94,26 @@ def register_report_type(
     tag:
         The payload's ``"report"`` value.  Must be unique.
     cls:
-        The exact report class the tag stands for (dispatch is on
+        The exact dataclass the tag stands for (dispatch is on
         ``type(report)``, so subclasses register their own tags).
-    to_dict, from_dict:
-        The body converters; the envelope (tag + version) is handled
-        here.
+    constants:
+        Format constants written after the fields; a payload with any
+        other value for one of them is rejected on read.
     """
     if tag in _REPORT_TYPES:
         raise ValueError(f"report tag {tag!r} already registered")
-    _REPORT_TYPES[tag] = (cls, to_dict, from_dict)
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"report type {cls.__name__} is not a dataclass")
+    _codec(cls)  # resolve every field annotation now, not on first use
+    _REPORT_TYPES[tag] = (cls, dict(constants or {}))
 
 
 def report_to_dict(report: Any) -> dict[str, Any]:
     """Serialize any registered report to its tagged mapping form."""
-    for tag, (cls, to_dict, _) in _REPORT_TYPES.items():
+    for tag, (cls, constants) in _REPORT_TYPES.items():
         if type(report) is cls:
-            return {"report": tag, "version": REPORT_FORMAT_VERSION, **to_dict(report)}
+            body = _codec(cls)[0](report)
+            return {"report": tag, "version": REPORT_FORMAT_VERSION, **body, **constants}
     raise TypeError(
         f"no serializer registered for {type(report).__name__}; "
         f"known tags: {sorted(_REPORT_TYPES)}"
@@ -268,8 +121,12 @@ def report_to_dict(report: Any) -> dict[str, Any]:
 
 
 def report_from_dict(data: dict[str, Any]) -> Any:
-    """Rebuild a report from its tagged mapping form."""
-    tag = data.get("report")
+    """Rebuild a report from its tagged mapping form.
+
+    A payload that does not fit its tagged type raises
+    :class:`ValueError` naming the tag and the offending field.
+    """
+    tag = data.get("report") if isinstance(data, dict) else None
     if tag not in _REPORT_TYPES:
         raise ValueError(
             f"unknown report tag {tag!r}; known tags: {sorted(_REPORT_TYPES)}"
@@ -280,8 +137,21 @@ def report_from_dict(data: dict[str, Any]) -> Any:
             f"report format version {version!r} not supported "
             f"(this build reads versions {sorted(_SUPPORTED_VERSIONS)})"
         )
-    _, _, from_dict = _REPORT_TYPES[tag]
-    return from_dict(data)
+    cls, constants = _REPORT_TYPES[tag]
+    for key, expected in constants.items():
+        if data.get(key) != expected:
+            raise ValueError(
+                f"{tag}.{key}: report field {key!r} is {data.get(key)!r}; "
+                f"this build reads only {expected!r}"
+            )
+    try:
+        return _codec(cls)[1](data)
+    except _Mismatch as error:
+        path = "".join(
+            f"[{step}]" if isinstance(step, int) else f".{step}"
+            for step in reversed(error.path)
+        )
+        raise ValueError(f"{tag}{path}: {error}") from None
 
 
 def report_to_json(report: Any, indent: int | None = 2) -> str:
@@ -294,216 +164,163 @@ def report_from_json(text: str) -> Any:
     return report_from_dict(json.loads(text))
 
 
-# -- simulator report types ---------------------------------------------
+class JsonReport:
+    """``to_json``/``from_json`` for a registered report dataclass."""
+
+    def to_json(self, indent: int | None = 2) -> str:
+        """This report as a tagged JSON document.
+
+        The payload is type-tagged, so the generic
+        :func:`report_from_json` loader — and the ``from_json``
+        classmethod on any report class — can read it back.
+        Subclasses serialize with their own tag and extra fields.
+        """
+        return report_to_json(self, indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Load a report serialized by :meth:`to_json`.
+
+        Decoding dispatches on the payload's type tag; the result must
+        be an instance of ``cls`` (calling ``ClientReport.from_json``
+        on a fleet payload is an error, but ``SessionReport.from_json``
+        accepts any session subclass).
+        """
+        report = report_from_json(text)
+        if not isinstance(report, cls):
+            raise TypeError(
+                f"payload decodes to {type(report).__name__}, not {cls.__name__}"
+            )
+        return report
 
 
-def _session_body(report) -> dict[str, Any]:
-    body = {
-        "encoder": report.encoder,
-        "target_fps": report.target_fps,
-        "frames": [frame_timing_to_dict(f) for f in report.frames],
-    }
-    # Conditional: lossless reports stay byte-identical to pre-loss
-    # serializations (the bit-for-bit acceptance gate).
-    if getattr(report, "loss", None) is not None:
-        body["loss"] = loss_stats_to_dict(report.loss)
-    return body
+# -- the codec ------------------------------------------------------------
 
 
-def _session_to_dict(report) -> dict[str, Any]:
-    return _session_body(report)
+class _Mismatch(Exception):
+    """A payload value that does not fit its field.
+
+    ``path`` collects field names and list indices, innermost first,
+    as the error propagates out of the nested decoders.
+    """
+
+    def __init__(self, problem: str, *path: str | int):
+        super().__init__(problem)
+        self.path = list(path)
 
 
-def _session_from_dict(data: dict[str, Any]):
-    from .session import SessionReport
-
-    return SessionReport(
-        encoder=str(data["encoder"]),
-        target_fps=float(data["target_fps"]),
-        frames=[frame_timing_from_dict(f) for f in data["frames"]],
-        loss=loss_stats_from_dict(data.get("loss")),
-    )
+def _check(value: Any, *kinds: type) -> None:
+    if type(value) not in kinds:
+        raise _Mismatch(f"expected {kinds[0].__name__}, got {type(value).__name__}")
 
 
-def _adaptive_session_to_dict(report) -> dict[str, Any]:
-    return {
-        **_session_body(report),
-        "adaptive": adaptive_stats_to_dict(report.adaptive),
-        "ladder": list(report.ladder),
-    }
+def _step(step: str | int, decode: Callable[[Any], Any], value: Any) -> Any:
+    """``decode(value)``, adding ``step`` to the path of any mismatch."""
+    try:
+        return decode(value)
+    except _Mismatch as error:
+        error.path.append(step)
+        raise
 
 
-def _adaptive_session_from_dict(data: dict[str, Any]):
-    from .adaptive import AdaptiveSessionReport
+@cache
+def _codec(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
+    """``(encode, decode)`` for one resolved field annotation.
 
-    return AdaptiveSessionReport(
-        encoder=str(data["encoder"]),
-        target_fps=float(data["target_fps"]),
-        frames=[frame_timing_from_dict(f) for f in data["frames"]],
-        loss=loss_stats_from_dict(data.get("loss")),
-        adaptive=adaptive_stats_from_dict(data.get("adaptive")),
-        ladder=tuple(str(name) for name in data.get("ladder", ())),
-    )
+    ``encode`` is ``None`` where the value is written as it is.
+    """
+    if hint in (int, float, str, bool):
+        kinds = (float, int) if hint is float else (hint,)
 
+        def decode(value):
+            _check(value, *kinds)
+            return hint(value)
 
-def _client_to_dict(report) -> dict[str, Any]:
-    return {
-        **_session_body(report),
-        "name": report.name,
-        "scene": report.scene,
-        "weight": report.weight,
-        "adaptive": adaptive_stats_to_dict(report.adaptive),
-        "start_s": report.start_s,
-        "stop_s": report.stop_s,
-    }
+        return None, decode
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        present = [arg for arg in args if arg is not type(None)]
+        if len(present) != 1:
+            raise TypeError(f"no report codec for field type {hint!r}")
+        inner_encode, inner_decode = _codec(present[0])
 
+        def encode(value):
+            return None if value is None else inner_encode(value)
 
-def _client_from_dict(data: dict[str, Any]):
-    from .server import ClientReport
+        def decode(value):
+            return None if value is None else inner_decode(value)
 
-    return ClientReport(
-        encoder=str(data["encoder"]),
-        target_fps=float(data["target_fps"]),
-        frames=[frame_timing_from_dict(f) for f in data["frames"]],
-        loss=loss_stats_from_dict(data.get("loss")),
-        name=str(data["name"]),
-        scene=str(data["scene"]),
-        weight=float(data["weight"]),
-        adaptive=adaptive_stats_from_dict(data.get("adaptive")),
-        start_s=float(data.get("start_s", 0.0)),
-        stop_s=None if data.get("stop_s") is None else float(data["stop_s"]),
-    )
+        return (None if inner_encode is None else encode), decode
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        inner_encode, inner_decode = _codec(args[0])
 
+        def decode(value):
+            _check(value, list)
+            return origin(
+                [_step(index, inner_decode, item) for index, item in enumerate(value)]
+            )
 
-#: The fleet body's ``"pricing"`` field: a format constant since the
-#: engine has one pricing rule.  Readers reject any other value.
-_FLEET_PRICING = "backlog"
+        if inner_encode is None:
+            return list, decode
+        return (lambda value: [inner_encode(item) for item in value]), decode
+    if origin is dict and args[0] is str and _codec(args[1])[0] is None:
+        inner_decode = _codec(args[1])[1]
 
+        def decode(value):
+            _check(value, dict)
+            return {key: _step(key, inner_decode, item) for key, item in value.items()}
 
-def _fleet_to_dict(report) -> dict[str, Any]:
-    return {
-        "clients": [_client_to_dict(c) for c in report.clients],
-        "link": link_to_dict(report.link),
-        "scheduler": report.scheduler,
-        "n_frames": report.n_frames,
-        "controller": report.controller,
-        "pricing": _FLEET_PRICING,
-    }
+        return dict, decode
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_codec(hint)
+    if isinstance(hint, type) and hasattr(hint, "from_dict"):
 
+        def decode(value):
+            _check(value, dict)
+            try:
+                return hint.from_dict(value)
+            except (KeyError, TypeError, ValueError) as error:
+                raise _Mismatch(f"invalid {hint.__name__}: {error!r}") from None
 
-def _fleet_from_dict(data: dict[str, Any]):
-    from .server import FleetReport
-
-    pricing = data.get("pricing", _FLEET_PRICING)
-    if pricing != _FLEET_PRICING:
-        raise ValueError(
-            f"fleet report field 'pricing' is {pricing!r}; only "
-            f"{_FLEET_PRICING!r} fleets can be loaded (round pricing was removed)"
-        )
-    return FleetReport(
-        clients=tuple(_client_from_dict(c) for c in data["clients"]),
-        link=link_from_dict(data["link"]),
-        scheduler=str(data["scheduler"]),
-        n_frames=int(data["n_frames"]),
-        controller=(
-            None if data.get("controller") is None else str(data["controller"])
-        ),
-    )
+        return (lambda value: value.to_dict()), decode
+    raise TypeError(f"no report codec for field type {hint!r}")
 
 
-def _cohort_summary_to_dict(summary) -> dict[str, Any]:
-    return {
-        "name": summary.name,
-        "scene": summary.scene,
-        "codec": summary.codec,
-        "n_members": summary.n_members,
-        "n_tracers": summary.n_tracers,
-        "weight": summary.weight,
-        "target_fps": summary.target_fps,
-        "start_s": summary.start_s,
-        "stop_s": summary.stop_s,
-        "frames_streamed": summary.frames_streamed,
-        "member_payload_bits": summary.member_payload_bits,
-        "mean_serialization_s": summary.mean_serialization_s,
-        "encode_time_s": summary.encode_time_s,
-        "member_link": link_to_dict(summary.member_link),
-        "adaptive": adaptive_stats_to_dict(summary.adaptive),
-    }
+def _dataclass_codec(cls: type) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    hints = typing.get_type_hints(cls)
+    fields = [
+        (f.name, *_codec(hints[f.name]), f.metadata.get(_OMIT, False), f.default)
+        for f in dataclasses.fields(cls)
+    ]
+    omittable = [(name, default) for name, _, _, omit, default in fields if omit]
+    nested = [(name, encode) for name, encode, _, _, _ in fields if encode is not None]
 
+    def encode(value):
+        # A dataclass __init__ stores the fields in declaration order, so
+        # the instance dict is the body unless something else is cached
+        # there; copying it is several times faster than reading fields.
+        body = vars(value).copy()
+        if len(body) != len(fields):
+            body = {name: body[name] for name, _, _, _, _ in fields}
+        for name, default in omittable:
+            if body[name] == default:
+                del body[name]
+        for name, inner in nested:
+            if name in body:
+                body[name] = inner(body[name])
+        return body
 
-def _cohort_summary_from_dict(data: dict[str, Any]):
-    from .cohort import CohortSummary
+    def decode(value):
+        _check(value, dict)
+        kwargs = {}
+        for name, _, inner, optional, _ in fields:
+            if name in value:
+                kwargs[name] = _step(name, inner, value[name])
+            elif not optional:
+                raise _Mismatch("missing", name)
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as error:
+            raise _Mismatch(f"invalid {cls.__name__}: {error}") from None
 
-    return CohortSummary(
-        name=str(data["name"]),
-        scene=str(data["scene"]),
-        codec=str(data["codec"]),
-        n_members=int(data["n_members"]),
-        n_tracers=int(data["n_tracers"]),
-        weight=float(data["weight"]),
-        target_fps=float(data["target_fps"]),
-        start_s=float(data["start_s"]),
-        stop_s=None if data.get("stop_s") is None else float(data["stop_s"]),
-        frames_streamed=int(data["frames_streamed"]),
-        member_payload_bits=int(data["member_payload_bits"]),
-        mean_serialization_s=float(data["mean_serialization_s"]),
-        encode_time_s=float(data["encode_time_s"]),
-        member_link=link_from_dict(data["member_link"]),
-        adaptive=adaptive_stats_from_dict(data.get("adaptive")),
-    )
-
-
-def _cohort_fleet_to_dict(report) -> dict[str, Any]:
-    return {
-        "cohorts": [_cohort_summary_to_dict(s) for s in report.cohorts],
-        "tracers": [_client_to_dict(t) for t in report.tracers],
-        "link": link_to_dict(report.link),
-        "scheduler": report.scheduler,
-        "seed": report.seed,
-        "latency": report.latency.to_dict(),
-        "controller": report.controller,
-    }
-
-
-def _cohort_fleet_from_dict(data: dict[str, Any]):
-    from .cohort import CohortFleetReport
-    from .sketch import QuantileSketch
-
-    return CohortFleetReport(
-        cohorts=tuple(_cohort_summary_from_dict(s) for s in data["cohorts"]),
-        tracers=tuple(_client_from_dict(t) for t in data["tracers"]),
-        link=link_from_dict(data["link"]),
-        scheduler=str(data["scheduler"]),
-        seed=int(data["seed"]),
-        latency=QuantileSketch.from_dict(data["latency"]),
-        controller=(
-            None if data.get("controller") is None else str(data["controller"])
-        ),
-    )
-
-
-def _register_builtin_types() -> None:
-    """Register the simulator reports (deferred: import cycles)."""
-    from .adaptive import AdaptiveSessionReport
-    from .cohort import CohortFleetReport
-    from .server import ClientReport, FleetReport
-    from .session import SessionReport
-
-    register_report_type("session", SessionReport, _session_to_dict, _session_from_dict)
-    register_report_type(
-        "adaptive-session",
-        AdaptiveSessionReport,
-        _adaptive_session_to_dict,
-        _adaptive_session_from_dict,
-    )
-    register_report_type("client", ClientReport, _client_to_dict, _client_from_dict)
-    register_report_type("fleet", FleetReport, _fleet_to_dict, _fleet_from_dict)
-    register_report_type(
-        "cohort-fleet",
-        CohortFleetReport,
-        _cohort_fleet_to_dict,
-        _cohort_fleet_from_dict,
-    )
-
-
-_register_builtin_types()
+    return encode, decode

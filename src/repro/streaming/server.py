@@ -76,6 +76,7 @@ from .engine import (
     get_scheduler,
 )
 from .link import WIFI6_LINK, WirelessLink
+from .reports import JsonReport, register_report_type
 from .session import ENCODER_CHOICES, SessionReport, build_streaming_codec
 from .validation import validate_stream_timing, validate_stream_window
 
@@ -253,8 +254,11 @@ class ClientReport(SessionReport):
         return len(self.frames) / self.target_fps
 
 
+register_report_type("client", ClientReport)
+
+
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(JsonReport):
     """Aggregate outcome of a multi-client streaming simulation."""
 
     clients: tuple[ClientReport, ...]
@@ -455,30 +459,6 @@ class FleetReport:
         ]
         return float(np.mean(qualities)) if qualities else None
 
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize through :mod:`repro.streaming.reports`.
-
-        The payload is type-tagged (``"report": "fleet"``) so the
-        generic :func:`~repro.streaming.reports.report_from_json`
-        loader reads it back alongside session/client/server payloads.
-        """
-        from .reports import report_to_json
-
-        return report_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetReport":
-        """Load a report serialized by :meth:`to_json`."""
-        from .reports import report_from_json
-
-        report = report_from_json(text)
-        if not isinstance(report, cls):
-            raise TypeError(
-                f"payload decodes to {type(report).__name__}, "
-                f"not {cls.__name__}"
-            )
-        return report
-
     def summary(self) -> str:
         """One-line fleet health readout."""
         text = (
@@ -503,6 +483,11 @@ class FleetReport:
                 f" | recovery {self.mean_recovery_latency_s * 1e3:.1f} ms"
             )
         return text
+
+
+# "pricing" is a format constant since the engine has one pricing rule;
+# payloads of the removed round pricing are rejected.
+register_report_type("fleet", FleetReport, constants={"pricing": "backlog"})
 
 
 def solo_sustainable_fps(report: ClientReport, link: WirelessLink) -> float:

@@ -299,6 +299,15 @@ class BandwidthTrace:
         residual = target - self._cum_bits[index]
         return float(self._times[index] + residual / self._rates_bps[index])
 
+    def to_dict(self) -> dict[str, list[float]]:
+        """The segments as a JSON-ready mapping."""
+        return {"times_s": list(self.times_s), "rates_mbps": list(self.rates_mbps)}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, list[float]]) -> "BandwidthTrace":
+        """Rebuild a trace serialized by :meth:`to_dict`."""
+        return cls(data["times_s"], data["rates_mbps"])
+
     def __eq__(self, other: object) -> bool:
         """Segment-wise value equality.
 

@@ -227,7 +227,13 @@ COHORT_CASES = {
 
 
 def cohort_digest(case: str) -> str:
-    """Digest of every tracer report of one cohort case."""
+    """Digest of every tracer report of one cohort case.
+
+    The digest covers the tracers' dataclass field order; the cohort
+    pins were re-pinned once when ``SessionReport`` moved ``frames``
+    after ``target_fps`` (its serialized order), with every value
+    unchanged.
+    """
     cohorts, link, scheduler, controller, recovery = COHORT_CASES[case]
     report = simulate_cohort_fleet(
         cohorts(), link, scheduler=scheduler, seed=17, controller=controller,
@@ -238,20 +244,20 @@ def cohort_digest(case: str) -> str:
 
 OUTCOME_SHA256 = {
     "cohort-adaptive-skip": (
-        "dd8b7d8cfe0cefc2efb3d445b2cf19c0"
-        "ef0553550c19c829fa6e626996e66738"
+        "afac29477b680672a119642901678d3e"
+        "a63c15a1b925850b0075a21f6217ee3c"
     ),
     "cohort-fair-fec": (
-        "6ccf4ebfef84b59c6ee1c662f993a2b3"
-        "db498a158ca1bce66ceb4d3e8493e7f2"
+        "dc26a5a277f6ff07d5714d684636aa44"
+        "a4d458838dd48b062ef96217dc8979bf"
     ),
     "cohort-fair-traced-jitter": (
-        "5800af73026ed45e43c0986007f6b682"
-        "818d3ec80b15976f7eee60ce6e7b8e43"
+        "5f8c2c735c572845c3fc7626dcb13228"
+        "d5faf8ac4f4dd7c0dc898cbdc98842be"
     ),
     "cohort-priority-arq": (
-        "2cf0f1e2893293e3df9ab66769697f04"
-        "8a56ccbfb334704f955f86714c8a57a3"
+        "ecc02d397e7614ab4bf2c26848590b98"
+        "3b622b11013519f72f14974f38c76f7c"
     ),
     "fair-adaptive-buffer": (
         "50d524d676de3386007a779857897bae"
